@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 encoder failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -49,33 +50,41 @@ def _load_project_config(path: str | None) -> dict:
     return cfg
 
 
-def _make_encoder(args, cfg: dict):
+def _load_video(args) -> media.RawVideo | None:
+    if args.video is None:
+        return None
+    return media.RawVideo.from_file(args.video, args.width, args.height, args.fps)
+
+
+@contextlib.contextmanager
+def _make_encoder(args, cfg: dict, video: media.RawVideo | None):
+    """The command's encoder; a process encoder's own workdir goes at exit."""
     if args.codec == "synthetic":
-        return SyntheticEncoder()
+        yield SyntheticEncoder()
+        return
     commands = cfg.get("codecs", {}).get(args.codec)
     if commands is None:
         raise DataError(
             f"no command templates for codec {args.codec!r}; add them to the project config"
         )
-    if args.video is None:
+    if video is None:
         raise UsageError("--video is required for real codecs")
-    video = media.RawVideo.from_file(args.video, args.width, args.height, args.fps)
-    return ProcessEncoder(
+    with ProcessEncoder(
         args.codec,
         CodecCommands(**commands),
         video,
         threads=cfg.get("workers", 1),
-    )
+    ) as encoder:
+        yield encoder
 
 
-def _segments(args, encoder) -> list[media.Segment]:
-    if args.codec == "synthetic" and args.video is None:
+def _segments(args, video: media.RawVideo | None) -> list[media.Segment]:
+    if args.codec == "synthetic" and video is None:
         if args.frames is None:
             raise UsageError("synthetic codec needs --frames when no --video is given")
         return media.make_segments(args.frames, args.fps, args.segment_seconds)
-    if args.video is None:
+    if video is None:
         raise UsageError("--video is required")
-    video = media.RawVideo.from_file(args.video, args.width, args.height, args.fps)
     return media.split_segments(video, args.segment_seconds)
 
 
@@ -93,8 +102,15 @@ def _add_video_args(p: argparse.ArgumentParser) -> None:
 
 def cmd_sweep(args) -> int:
     cfg = _load_project_config(args.config)
-    encoder = _make_encoder(args, cfg)
-    segments = _segments(args, encoder)
+    video = _load_video(args)
+    with _make_encoder(args, cfg, video) as encoder:
+        failures = _sweep(args, encoder, _segments(args, video))
+    print(f"sweep table: {args.out}")
+    return EXIT_ENCODER if failures else EXIT_OK
+
+
+def _sweep(args, encoder, segments: list[media.Segment]) -> int:
+    """Encode every configuration not yet in the table; returns the failure count."""
     if args.segment is not None:
         segments = [segments[args.segment]]
 
@@ -142,8 +158,7 @@ def cmd_sweep(args) -> int:
         ]
         flags = pareto.front_flags(points) if points else []
         encoders.write_sweep_table(out, rows, pareto_flags=flags, append=True)
-    print(f"sweep table: {out}")
-    return EXIT_ENCODER if failures else EXIT_OK
+    return failures
 
 
 def _constraints_from_args(args) -> ConstraintSet:
@@ -197,22 +212,23 @@ def _schedule_fn(path: str | None):
 def cmd_optimize(args) -> int:
     cfg = _load_project_config(args.config)
     constraints = _constraints_from_args(args)
-    encoder = _make_encoder(args, cfg)
-    segments = _segments(args, encoder)
-    schedule = _schedule_fn(args.constraint_schedule)
+    video = _load_video(args)
+    with _make_encoder(args, cfg, video) as encoder:
+        segments = _segments(args, video)
+        schedule = _schedule_fn(args.constraint_schedule)
 
-    state = controller.run_segment_loop(
-        encoder, segments, constraints, schedule=schedule
-    )
-    if args.decisions:
-        controller.write_decision_log(state, args.decisions)
-        print(f"decision log: {args.decisions}")
-    baseline = args.baseline_bitrate_kbps
-    if baseline is None and constraints.max_bitrate_kbps is not None:
-        baseline = constraints.max_bitrate_kbps
-    summary = controller.summarize(
-        state, encoder=encoder, segments=segments, baseline_bitrate_kbps=baseline
-    )
+        state = controller.run_segment_loop(
+            encoder, segments, constraints, schedule=schedule
+        )
+        if args.decisions:
+            controller.write_decision_log(state, args.decisions)
+            print(f"decision log: {args.decisions}")
+        baseline = args.baseline_bitrate_kbps
+        if baseline is None and constraints.max_bitrate_kbps is not None:
+            baseline = constraints.max_bitrate_kbps
+        summary = controller.summarize(
+            state, encoder=encoder, segments=segments, baseline_bitrate_kbps=baseline
+        )
     print(summary.format())
     return EXIT_OK
 
@@ -230,6 +246,8 @@ def cmd_classify(args) -> int:
     training = activity.synthetic_training(rng)
     if args.training:
         training = _read_training_dir(args.training)
+    # the training set is fixed, so each pair's bins are selected once
+    bin_cache = {pair: activity.select_bins(training, pair) for pair in activity.PAIRS}
 
     regions = []
     for start, end in zip(edges, edges[1:]):
@@ -238,7 +256,7 @@ def cmd_classify(args) -> int:
         ]
         pu_mean = float(np.mean(pu_series[start:end]))
         features = activity.extract_mv_features(vectors, pu_mean)
-        label = activity.classify(features, training, k=args.k)
+        label = activity.classify(features, training, k=args.k, bin_cache=bin_cache)
         constraints = activity.apply_policy(label, policy)
         regions.append(
             {

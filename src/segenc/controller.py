@@ -175,7 +175,8 @@ def bootstrap(
         raise ControllerError("insufficient data: no group had enough samples to fit")
 
     chosen_m, _ = select_mode_optimal(
-        front, constraints.mode, constraints.without_tolerances()
+        front, constraints.mode, constraints.without_tolerances(),
+        frames=first_segment.frame_count,
     )
     predicted = {
         obj: chosen_m.objective(obj) for obj in objectives

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import shlex
+import shutil
 import subprocess
 import tempfile
 import time
@@ -377,7 +378,9 @@ class ProcessEncoder:
     Encoding rate is frames over the encoder process's wall-clock seconds
     only; bitrate is 8 * payload bytes / segment duration.  Quality needs a
     decode template (external decoders produce raw YUV which is compared
-    with the source).
+    with the source).  Each encode works in its own temporary directory
+    under the workdir, removed once the encode is measured; ``close`` (or
+    leaving a ``with`` block) removes a workdir the encoder created itself.
     """
 
     def __init__(
@@ -393,8 +396,20 @@ class ProcessEncoder:
         self.commands = commands
         self.video = video
         self.threads = threads
+        self._own_workdir = not workdir
         self._workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="segenc-"))
         self._workdir.mkdir(parents=True, exist_ok=True)
+
+    def close(self) -> None:
+        """Remove the workdir if this encoder created it; a given one stays."""
+        if self._own_workdir:
+            shutil.rmtree(self._workdir, ignore_errors=True)
+
+    def __enter__(self) -> "ProcessEncoder":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def grid(self) -> CodecGrid:
         return grid_for(self.codec)
@@ -444,13 +459,13 @@ class ProcessEncoder:
             raise EncoderError(f"no decode template registered for codec {self.codec!r}")
 
         clip = self.video.frames_slice(segment.start, segment.end)
-        tag = f"s{segment.index}_{config.gop}_{config.qp}_{config.filters_label()}"
-        tag = tag.replace(",", "_").replace("=", "")
-        src = self._workdir / f"{tag}.yuv"
-        out = self._workdir / f"{tag}.bin"
-        dec = self._workdir / f"{tag}.dec.yuv"
-        clip.to_file(src)
-        try:
+        # a directory per encode: concurrent encodes never share a path, and
+        # every file an encode leaves goes with it once it is measured
+        with tempfile.TemporaryDirectory(dir=self._workdir) as tmp:
+            src = Path(tmp) / "src.yuv"
+            out = Path(tmp) / "out.bin"
+            dec = Path(tmp) / "dec.yuv"
+            clip.to_file(src)
             elapsed, _, _ = self._run(
                 self.commands.encode,
                 self._substitutions(config, segment, input=str(src), output=str(out)),
@@ -463,13 +478,16 @@ class ProcessEncoder:
                 self.commands.decode,
                 self._substitutions(config, segment, input=str(out), output=str(dec)),
             )
-            decoded = RawVideo.from_file(dec, clip.width, clip.height, clip.fps)
+            try:
+                decoded = RawVideo.from_file(dec, clip.width, clip.height, clip.fps)
+            except (OSError, media.MediaError) as exc:  # missing, empty or truncated
+                raise EncoderError(f"cannot read the decoded video: {exc}") from exc
             scores = media.psnr_global(clip, decoded)
             ssim = media.ssim_mean(clip, decoded)
 
             vmaf = None
             if self.commands.vmaf:
-                log_path = self._workdir / f"{tag}.vmaf"
+                log_path = Path(tmp) / "vmaf.log"
                 self._run(
                     self.commands.vmaf,
                     self._substitutions(
@@ -477,10 +495,10 @@ class ProcessEncoder:
                         reference=str(src), distorted=str(dec), log=str(log_path),
                     ),
                 )
-                vmaf = media.parse_vmaf_log(log_path.read_text()).mean
-        finally:
-            src.unlink(missing_ok=True)
-            dec.unlink(missing_ok=True)
+                try:
+                    vmaf = media.parse_vmaf_log(log_path.read_text()).mean
+                except OSError as exc:
+                    raise EncoderError(f"cannot read the VMAF log: {exc}") from exc
 
         return SegmentMeasurement(
             config=config,

@@ -95,12 +95,16 @@ def pareto_front(
     return ParetoFront(tuple(points[i] for i in keep), cost_kind=cost_kind)
 
 
-def _entry_predictions(point: ObjectivePoint, cost_kind: str) -> dict[str, float]:
+def _entry_predictions(
+    point: ObjectivePoint, cost_kind: str, frames: int | None
+) -> dict[str, float]:
     pred = {"quality": point.quality, "bits": point.bitrate}
     if cost_kind == "time":
         pred["enc_time"] = point.enc_cost
     else:
         pred["enc_rate"] = point.enc_rate
+        if frames is not None:
+            pred["enc_time"] = frames / point.enc_rate
     return pred
 
 
@@ -113,12 +117,14 @@ _MODE_KEY: dict[str, Callable[[ObjectivePoint], float]] = {
 
 
 def select_mode_optimal(
-    front: ParetoFront, mode: str, constraints: ConstraintSet
+    front: ParetoFront, mode: str, constraints: ConstraintSet, *, frames: int | None = None
 ) -> tuple[Any, ObjectivePoint]:
     """Best feasible entry for the mode; least-violation fallback otherwise.
 
     Feasibility uses the constraint set as given (including its tolerance
-    bands; pass a zero-tolerance set for hard bounds).  Ties break toward
+    bands; pass a zero-tolerance set for hard bounds).  On a rate-oriented
+    front, ``frames`` (the encoded frame count) gives each entry its
+    encoding time, which a ``max_time_s`` bound needs.  Ties break toward
     lower bitrate, then lower QP, then input order.
     """
     if not front.entries:
@@ -132,7 +138,7 @@ def select_mode_optimal(
     fallback_entry: tuple[Any, ObjectivePoint] | None = None
     for i, (config, point) in enumerate(front.entries):
         satisfied, violations = check_constraints(
-            _entry_predictions(point, front.cost_kind), constraints
+            _entry_predictions(point, front.cost_kind, frames), constraints
         )
         if satisfied:
             feasible.append((i, config, point))

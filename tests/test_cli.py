@@ -2,14 +2,18 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
+from segenc import cli
 from segenc.cli import main
 from segenc.bd import write_rd_file
-from segenc.encoders import read_sweep_table
+from segenc.encoders import read_sweep_table, sweep_row_key
 
+import lossy_codec
+import refmetrics
 from refdata import RD_POINTS_LOW_DELAY
 
 
@@ -43,6 +47,21 @@ class TestSweep:
         rows = read_sweep_table(out)
         assert {r["segment_id"] for r in rows} == {0, 1, 2, 3}
         assert len(rows) == 80
+
+
+    def test_parallel_process_sweep_loses_no_config(self, tmp_path, capsys):
+        # x265 closed- and open-GOP encodes of one segment run side by side
+        # here; they once shared temp paths and lost or aborted encodes
+        np.random.default_rng(3).integers(0, 256, (3, 96), dtype=np.uint8).tofile(tmp_path / "clip.yuv")
+        run = "cp {input} {output}"  # a copy codec that starts fast: 400 runs here
+        config = tmp_path / "project.json"
+        config.write_text(json.dumps({"codecs": {"x265": {"encode": run, "decode": run}}}))
+        out = tmp_path / "sweep.tsv"
+        code = run_cli("sweep", "--codec", "x265", "--video", tmp_path / "clip.yuv",
+                       "--width", 8, "--height", 8, "--fps", 3, "--config", config,
+                       "--workers", 4, "--out", out)
+        assert code == 0
+        assert len({sweep_row_key(r) for r in read_sweep_table(out)}) == 200
 
 
 class TestOptimize:
@@ -128,6 +147,74 @@ class TestOptimize:
         assert records[3]["qp"] == 32
 
 
+class TestProcessPath:
+    """``optimize`` through ProcessEncoder with the lossy stand-in codec."""
+
+    WIDTH, HEIGHT, FRAMES, FPS = 64, 64, 12, 4
+
+    def write_clip(self, path, rng):
+        ys, xs = np.mgrid[0 : self.HEIGHT, 0 : self.WIDTH]
+        luma = 60 + 2 * xs + ys
+        size = self.WIDTH * self.HEIGHT
+        frames = []
+        for _ in range(self.FRAMES):
+            y = np.clip(luma + rng.integers(-10, 11, luma.shape), 0, 255).astype(np.uint8)
+            chroma = rng.integers(100, 156, size // 2, dtype=np.uint8)
+            frames.append(np.concatenate([y.ravel(), chroma]))
+        clip = np.stack(frames)
+        clip.tofile(path)
+        return clip
+
+    def test_optimize_measures_every_decision_and_leaves_no_file(
+        self, tmp_path, rng, monkeypatch, capsys
+    ):
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        monkeypatch.setenv("TMPDIR", str(tmpdir))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+        measured = {}
+
+        class Recording(cli.ProcessEncoder):
+            def encode(self, config, segment):
+                m = super().encode(config, segment)
+                measured[segment.index, config] = m
+                return m
+
+        monkeypatch.setattr(cli, "ProcessEncoder", Recording)
+        clip = self.write_clip(tmp_path / "clip.yuv", rng)
+        run = f"{sys.executable} -S {lossy_codec.__file__}"
+        config = tmp_path / "project.json"
+        config.write_text(json.dumps({"codecs": {"vp9": {
+            "encode": f"{run} enc {{input}} {{output}} {{qp}}",
+            "decode": f"{run} dec {{input}} {{output}} {{qp}}",
+        }}}))
+        decisions = tmp_path / "decisions.jsonl"
+        code = run_cli(
+            "optimize", "--codec", "vp9", "--video", tmp_path / "clip.yuv",
+            "--width", self.WIDTH, "--height", self.HEIGHT, "--fps", self.FPS,
+            "--segment-seconds", 1, "--config", config,
+            "--mode", "min_bitrate", "--min-quality-db", 30.0, "--min-fps", 0.01,
+            "--decisions", decisions,
+        )
+        assert code == 0
+        records = [json.loads(line) for line in decisions.read_text().splitlines()[1:]]
+        assert [r["segment"] for r in records] == [0, 1, 2]
+        for rec in records:
+            assert not rec["failed"]
+            [m] = [m for (i, c), m in measured.items() if i == rec["segment"]
+                   and (c.gop, c.qp, dict(c.filters)) == (rec["gop"], rec["qp"], rec["filters"])]
+            assert rec["measured"]["psnr_db"] == m.quality_psnr
+            quantize = lossy_codec.quantize_table(rec["qp"])
+            reconstruct = lossy_codec.reconstruct_table(rec["qp"])
+            codec_round_trip = np.frombuffer(bytes(reconstruct[q] for q in quantize), dtype=np.uint8)
+            source = clip[rec["segment"] * self.FPS : (rec["segment"] + 1) * self.FPS]
+            decoded = codec_round_trip[source]
+            w, h = self.WIDTH, self.HEIGHT
+            assert m.quality_psnr == pytest.approx(refmetrics.psnr611(source, decoded, w, h), abs=1e-9)
+            assert m.quality_ssim == pytest.approx(refmetrics.ssim(source, decoded, w, h), abs=1e-9)
+        assert list(tmpdir.iterdir()) == []
+
+
 def write_mv_pu_files(tmp_path, rng):
     from segenc.activity import synthetic_field
 
@@ -175,6 +262,31 @@ class TestClassify:
         assert [(r["start_frame"], r["end_frame"]) for r in regions] == [
             (0, 50), (50, 100), (100, 150)
         ]
+
+    def test_bins_selected_once_per_pair(self, tmp_path, rng, monkeypatch, capsys):
+        from segenc import activity
+
+        calls = []
+        select_bins = activity.select_bins
+
+        def counted(training, pair, **kwargs):
+            calls.append(pair)
+            return select_bins(training, pair, **kwargs)
+
+        monkeypatch.setattr(activity, "select_bins", counted)
+        mv_path, pu_path = write_mv_pu_files(tmp_path, rng)
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps({
+            label: {"mode": "min_bitrate", "min_quality": 38.0, "min_fps": 25.0}
+            for label in activity.LABELS
+        }))
+        out = tmp_path / "schedule.json"
+        code = run_cli("classify", "--mv-file", mv_path, "--pu-file", pu_path,
+                       "--policy", policy_path, "--out", out)
+        assert code == 0
+        regions = json.loads(out.read_text())["regions"]
+        assert [r["label"] for r in regions] == ["tracking", "stationary", "zoom"]
+        assert sorted(calls) == sorted(activity.PAIRS)  # not once per region as well
 
     def test_empty_mv_file_is_data_error(self, tmp_path, capsys):
         mv_path = tmp_path / "field.mv"

@@ -67,6 +67,24 @@ class TestBootstrap:
         assert record.config.qp == 28  # best hard-feasible grid QP
         assert record.measured is not None
 
+    def test_time_bound_on_segment0(self):
+        # the bootstrap front is rate-oriented; a max_time_s bound still needs
+        # each entry's encoding time, which the segment's frame count gives
+        state = run_segment_loop(
+            SyntheticEncoder(), make_segments(450, 50),
+            make_mode("max_quality", {"max_bitrate_kbps": 20000.0, "max_time_s": 1.0}),
+        )
+        assert state.history[0].config.qp == 25
+        assert len(state.history) == 3
+
+    def test_binding_time_bound_picks_faster_segment0_config(self):
+        # QPs 16 and 19 take 0.40 s and 0.11 s for 150 frames; QP 22 takes 0.024 s
+        cs = make_mode("max_quality", {"max_bitrate_kbps": 200000.0, "max_time_s": 0.05})
+        state = bootstrap(SyntheticEncoder(), segments_500()[0], cs)
+        record = state.history[0]
+        assert record.config.qp == 22
+        assert record.satisfied
+
     def test_unmeasured_quality_metric_rejected(self):
         enc = SyntheticEncoder()
         cs = ConstraintSet(mode="min_bitrate", min_quality=0.9, quality_metric="ssim",

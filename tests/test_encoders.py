@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
@@ -197,6 +199,80 @@ class TestProcessEncoder:
         bad = make_segments(500, 10, 3.0)[1]
         with pytest.raises(EncoderError, match="out of range"):
             enc.encode(enumerate_configs("x265")[0], bad)
+
+
+ARGV_LOGGING_CODEC = textwrap.dedent(
+    """
+    import shutil, sys
+    mode, src, dst, log = sys.argv[1:5]
+    with open(log, "a") as fh:
+        fh.write(" ".join(sys.argv[1:4]) + "\\n")
+    if mode == "truncate":  # exits cleanly with a partial frame
+        open(dst, "wb").write(open(src, "rb").read()[:-7])
+    elif mode != "lose":  # "lose" exits cleanly without writing its output
+        shutil.copyfile(src, dst)
+    """
+)
+
+
+@pytest.fixture
+def logging_codec(tmp_path):
+    script = tmp_path / "logging_codec.py"
+    script.write_text(ARGV_LOGGING_CODEC)
+    log = tmp_path / "argv.log"
+
+    def commands(decode_mode="decode"):
+        run = f"{sys.executable} {script}"
+        return CodecCommands(
+            encode=f"{run} encode {{input}} {{output}} {log}",
+            decode=f"{run} {decode_mode} {{input}} {{output}} {log}",
+        )
+
+    return commands, log
+
+
+class TestProcessEncoderFiles:
+    def test_gop_types_never_share_a_path(self, logging_codec, small_video, tmp_path):
+        commands, log = logging_codec
+        enc = ProcessEncoder("x265", commands(), small_video, workdir=tmp_path / "w")
+        seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
+        closed = enumerate_configs("x265")[0]
+        opened = dataclasses.replace(closed, gop_type="open")
+        assert closed.gop_type == "closed"
+        paths = {}
+        for cfg in (closed, opened):
+            start = len(log.read_text().splitlines()) if log.exists() else 0
+            enc.encode(cfg, seg)
+            argvs = log.read_text().splitlines()[start:]
+            paths[cfg.gop_type] = {p for line in argvs for p in line.split()[1:]}
+        assert paths["closed"] and paths["open"]
+        assert not paths["closed"] & paths["open"]
+
+    @pytest.mark.parametrize("decode_mode", ["lose", "truncate"])
+    def test_unreadable_decode_is_an_encoder_error(
+        self, logging_codec, small_video, tmp_path, decode_mode
+    ):
+        commands, _ = logging_codec
+        enc = ProcessEncoder("x265", commands(decode_mode), small_video, workdir=tmp_path / "w")
+        seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
+        with pytest.raises(EncoderError, match="decoded video"):
+            enc.encode(enumerate_configs("x265")[0], seg)
+
+    def test_no_file_outlives_an_encode(self, stub_commands, small_video, tmp_path):
+        workdir = tmp_path / "w"
+        with ProcessEncoder("x265", stub_commands, small_video, workdir=workdir) as enc:
+            seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
+            enc.encode(enumerate_configs("x265")[0], seg)
+            assert list(workdir.iterdir()) == []
+        assert workdir.is_dir()  # a workdir the caller gave stays
+
+    def test_own_workdir_removed_on_close(self, stub_commands, small_video, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with ProcessEncoder("x265", stub_commands, small_video) as enc:
+            seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
+            enc.encode(enumerate_configs("x265")[0], seg)
+            assert len(list(tmp_path.glob("segenc-*"))) == 1
+        assert list(tmp_path.glob("segenc-*")) == []
 
 
 class TestMeasurementAndSweepIO:

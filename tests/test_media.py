@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from segenc import media
 from segenc.media import (
@@ -16,6 +17,7 @@ from segenc.media import (
     ssim_mean,
 )
 
+import refmetrics
 from refdata import PSNR_ROWS
 
 
@@ -214,3 +216,88 @@ class TestRawVideoValidation:
         video.to_file(path)
         back = RawVideo.from_file(path, 8, 8, 50)
         assert np.array_equal(back.data, video.data)
+
+
+def clip_pair(width: int, height: int, frames: int, kind: str, seed: int):
+    """Reference and distorted clips of one of the kernels' edge cases."""
+    rng = np.random.default_rng(seed)
+    size = width * height * 3 // 2
+    ref = rng.integers(0, 256, size=(frames, size), dtype=np.uint8)
+    if kind == "noisy":
+        # a different noise level per frame, so pooling over frames matters
+        noise = rng.integers(-12, 13, size=ref.shape) * np.arange(frames)[:, None]
+        dist = np.clip(ref.astype(np.int64) + noise, 0, 255).astype(np.uint8)
+    elif kind == "black-white":
+        ref = np.zeros_like(ref)
+        dist = np.full_like(ref, 255)
+    elif kind == "white":
+        ref = np.full_like(ref, 255)
+        dist = ref.copy()
+        dist[:, ::3] = rng.integers(0, 256, size=dist[:, ::3].shape, dtype=np.uint8)
+    elif kind == "identical":
+        dist = ref.copy()
+    else:
+        dist = rng.integers(0, 256, size=ref.shape, dtype=np.uint8)
+    return ref, dist
+
+
+class TestKernelsAgainstFloatReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        width=st.integers(4, 20).map(lambda k: 2 * k),
+        height=st.integers(4, 20).map(lambda k: 2 * k),
+        frames=st.integers(1, 4),
+        kind=st.sampled_from(["random", "noisy", "black-white", "white", "identical"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(width=10, height=14, frames=3, kind="noisy", seed=1)  # crops 2 and 6
+    @example(width=16, height=8, frames=2, kind="black-white", seed=0)
+    @example(width=24, height=16, frames=1, kind="white", seed=0)
+    @example(width=8, height=8, frames=2, kind="identical", seed=0)
+    def test_psnr611_and_ssim(self, width, height, frames, kind, seed):
+        ref, dist = clip_pair(width, height, frames, kind, seed)
+        a = RawVideo(width, height, 25, ref)
+        b = RawVideo(width, height, 25, dist)
+        psnr = psnr_global(a, b).psnr611
+        assert psnr == pytest.approx(refmetrics.psnr611(ref, dist, width, height), abs=1e-9)
+        assert ssim_mean(a, b) == pytest.approx(refmetrics.ssim(ref, dist, width, height), abs=1e-9)
+        if kind == "identical":
+            assert psnr == 100.0
+
+    def test_metrics_memory_is_a_few_frames(self):
+        width, height, frames = 1920, 1080, 30
+        ref, dist = clip_pair(width, height, frames, "random", 7)
+        a = RawVideo(width, height, 25, ref)
+        b = RawVideo(width, height, 25, dist)
+        frame_bytes = a.frame_size
+        for metric in (psnr_global, ssim_mean):
+            tracemalloc.start()
+            try:
+                metric(a, b)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * frame_bytes, (metric.__name__, peak / frame_bytes)
+
+
+class TestFromFile:
+    def test_maps_the_file_read_only(self, rng, tmp_path):
+        video = random_video(rng, n_frames=4)
+        path = tmp_path / "clip.yuv"
+        video.to_file(path)
+        back = RawVideo.from_file(path, 8, 8, 50)
+        assert isinstance(back.data, np.memmap)
+        assert not back.data.flags.writeable
+        assert back.frame_count == 4
+
+    def test_partial_frame_rejected(self, tmp_path):
+        path = tmp_path / "clip.yuv"
+        path.write_bytes(bytes(96 + 5))
+        with pytest.raises(MediaError, match="not a multiple"):
+            RawVideo.from_file(path, 8, 8, 50)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "clip.yuv"
+        path.write_bytes(b"")
+        with pytest.raises(MediaError, match="no frames"):
+            RawVideo.from_file(path, 8, 8, 50)
