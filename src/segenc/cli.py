@@ -16,7 +16,7 @@ import numpy as np
 
 from . import activity, bd, controller, encoders, media, pareto
 from .encoders import CodecCommands, EncoderError, ProcessEncoder, SyntheticEncoder
-from .solver import ConstraintSet, SolverError, make_mode
+from .solver import MODES, ConstraintSet, SolverError, make_mode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,55 +110,53 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep(args, encoder, segments: list[media.Segment]) -> int:
-    """Encode every configuration not yet in the table; returns the failure count."""
+    """Encode every configuration not yet in the table; returns the failure count.
+
+    After each segment the table is rewritten with that segment's Pareto
+    flags recomputed over all of its rows, those already there and the new.
+    """
     if args.segment is not None:
         segments = [segments[args.segment]]
 
     out = Path(args.out)
-    done: set[tuple] = set()
-    if out.exists():
-        done = {encoders.sweep_row_key(rec) for rec in encoders.read_sweep_table(out)}
+    rows = encoders.read_sweep_table(out) if out.exists() else []
+    done = {encoders.sweep_row_key(rec) for rec in rows}
 
     failures = 0
-    for segment in segments:
-        todo = [
-            cfg_
-            for cfg_ in encoder.configs()
-            if (segment.index, cfg_.codec, cfg_.gop, cfg_.gop_type or "-", cfg_.qp,
-                cfg_.filters_label()) not in done
-        ]
-        if not todo:
-            continue
-        results: list[encoders.SegmentMeasurement | None]
-        if args.workers > 1 and args.codec != "synthetic":
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                futures = [pool.submit(encoder.encode, c, segment) for c in todo]
-                results = []
-                for future in futures:
-                    try:
-                        results.append(future.result())
-                    except EncoderError as exc:
-                        print(f"encode failed: {exc}", file=sys.stderr)
-                        results.append(None)
-                        failures += 1
-        else:
-            results = []
-            for c in todo:
+    pool = ThreadPoolExecutor(max_workers=1 if args.codec == "synthetic" else max(args.workers, 1))
+    try:
+        for segment in segments:
+            futures = [
+                pool.submit(encoder.encode, c, segment)
+                for c in encoder.configs()
+                if encoders.config_row_key(segment.index, c) not in done
+            ]
+            if not futures:
+                continue
+            for future in futures:  # in submission order, so rows keep the grid order
                 try:
-                    results.append(encoder.encode(c, segment))
+                    rows.append(encoders.sweep_row(future.result()))
                 except EncoderError as exc:
                     print(f"encode failed: {exc}", file=sys.stderr)
-                    results.append(None)
                     failures += 1
-        rows = [m for m in results if m is not None]
-        metric = "vmaf" if all(m.quality_vmaf is not None for m in rows) else "psnr"
-        points = [
-            (m, pareto.ObjectivePoint.from_enc_rate(m.objective(metric), m.bitrate, m.enc_rate))
-            for m in rows
-        ]
-        flags = pareto.front_flags(points) if points else []
-        encoders.write_sweep_table(out, rows, pareto_flags=flags, append=True)
+            _flag_front([rec for rec in rows if rec["segment_id"] == segment.index])
+            encoders.write_sweep_rows(out, rows)
+    finally:  # an error or an interrupt drops the encodes not yet started
+        pool.shutdown(cancel_futures=True)
     return failures
+
+
+def _flag_front(rows: list[dict]) -> None:
+    """Mark the rows on the front of one segment, on VMAF when every row has it."""
+    if not rows:
+        return
+    metric = "vmaf" if all(rec["vmaf"] is not None for rec in rows) else "psnr_db"
+    points = [
+        (rec, pareto.ObjectivePoint.from_enc_rate(rec[metric], rec["bitrate_kbps"], rec["fps"]))
+        for rec in rows
+    ]
+    for rec, on_front in zip(rows, pareto.front_flags(points)):
+        rec["pareto"] = "1" if on_front else "0"
 
 
 def _constraints_from_args(args) -> ConstraintSet:
@@ -275,15 +273,7 @@ def cmd_classify(args) -> int:
 
 
 def _constraint_dict(cs: ConstraintSet) -> dict:
-    out = {"mode": cs.mode, "quality_metric": cs.quality_metric}
-    for name in ("max_bitrate_kbps", "min_quality", "min_fps", "max_time_s"):
-        value = getattr(cs, name)
-        if value is not None:
-            out[name] = value
-    out["tol_bitrate"] = cs.tol_bitrate
-    out["tol_fps"] = cs.tol_fps
-    out["tol_quality"] = cs.tol_quality
-    return out
+    return {"mode": cs.mode, "quality_metric": cs.quality_metric, **cs.bounds(), **cs.tolerances()}
 
 
 def _read_training_dir(path: str) -> list[tuple[str, activity.MotionFeatures]]:
@@ -349,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="run the segment-adaptive encoding loop")
     _add_video_args(p)
-    p.add_argument("--mode", required=True,
-                   choices=["max_quality", "min_bitrate", "max_enc_rate", "min_enc_time"])
+    p.add_argument("--mode", required=True, choices=list(MODES))
     p.add_argument("--max-bitrate-kbps", type=float)
     p.add_argument("--min-quality-db", type=float)
     p.add_argument("--min-vmaf", type=float)

@@ -110,7 +110,3 @@ REFERENCE_MODEL_SETS: dict[tuple[str, str, str], ModelSet] = {
         "enc_rate": (2.41, 0.05, -0.00057),
     },
 }
-
-
-def model_set(codec: str, gop: str, scenario: str = "max_quality") -> ModelSet:
-    return REFERENCE_MODEL_SETS[(codec, gop, scenario)]

@@ -25,6 +25,7 @@ from .media import Segment
 from .models import RdModel, fit_log_poly, select_order
 from .pareto import ObjectivePoint, ParetoFront, pareto_front, select_mode_optimal
 from .solver import (
+    MODES,
     ConstraintSet,
     QpSolution,
     check_constraints,
@@ -33,8 +34,6 @@ from .solver import (
 )
 
 GroupKey = tuple[str, Filters]  # (gop, filter flags)
-
-FIT_OBJECTIVES = ("psnr", "vmaf", "bits", "enc_rate")
 
 
 class ControllerError(RuntimeError):
@@ -90,10 +89,6 @@ class ControllerState:
     sweep: list[SegmentMeasurement] = field(default_factory=list)
 
 
-def _quality_value(m: SegmentMeasurement, metric: str) -> float:
-    return m.objective({"psnr": "psnr", "vmaf": "vmaf", "ssim": "ssim"}[metric])
-
-
 def _objectives_for(measurements: Sequence[SegmentMeasurement]) -> tuple[str, ...]:
     objectives = ["psnr", "bits", "enc_rate"]
     if all(m.quality_vmaf is not None for m in measurements):
@@ -145,7 +140,7 @@ def bootstrap(
         )
 
     points = [
-        (m, ObjectivePoint.from_enc_rate(_quality_value(m, metric), m.bitrate, m.enc_rate))
+        (m, ObjectivePoint.from_enc_rate(m.objective(metric), m.bitrate, m.enc_rate))
         for m in sweep
     ]
     front = pareto_front(points, cost_kind="rate")
@@ -215,13 +210,7 @@ def choose_gop_model(
     if not state.models:
         raise ControllerError("no fitted model groups")
     scored: list[tuple[tuple, GroupKey, dict[str, RdModel], QpSolution]] = []
-    metric = constraints.quality_metric
-    mode_value = {
-        "max_quality": lambda p: -p.get(metric, 0.0),
-        "min_bitrate": lambda p: p["bits"],
-        "max_enc_rate": lambda p: -p["enc_rate"],
-        "min_enc_time": lambda p: -p["enc_rate"],
-    }[constraints.mode]
+    mode = MODES[constraints.mode]
     for key in sorted(state.models, key=lambda k: (gop_rank(k[0]), k[1])):
         models = state.models[key]
         try:
@@ -237,7 +226,7 @@ def choose_gop_model(
         rank = (
             not sol.satisfied,
             sum(sol.violations.values()) if not sol.satisfied else 0.0,
-            mode_value(sol.predicted) if sol.satisfied else 0.0,
+            mode.value(sol.predicted, constraints.quality_metric) if sol.satisfied else 0.0,
             sol.predicted.get("bits", 0.0),
             gop_rank(key[0]),
             key[1],

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import shlex
 import shutil
 import subprocess
@@ -63,16 +64,6 @@ class EncodingConfig:
         if not self.filters:
             return "-"
         return ",".join(f"{k}={'on' if v else 'off'}" for k, v in self.filters)
-
-
-def parse_filters_label(label: str) -> Filters:
-    if label in ("-", ""):
-        return ()
-    out = []
-    for part in label.split(","):
-        k, v = part.split("=")
-        out.append((k, v == "on"))
-    return tuple(out)
 
 
 @dataclass(slots=True)
@@ -204,47 +195,12 @@ def _expand_grid(grid: CodecGrid) -> list[EncodingConfig]:
 
 
 def enumerate_configs(codec: str) -> list[EncodingConfig]:
-    """Full Cartesian grid for a codec, in (GOP, QP, flags) order.
+    """Full Cartesian grid of a codec in ``CODEC_GRIDS``, in (GOP, QP, flags) order.
 
-    x265 yields 200 configurations, svt-av1 240; vp9 defaults to the 100
-    enumerable combinations of its grid (customize via CODEC_GRIDS for
-    larger factorizations).
+    x265 yields 200 configurations (open and closed GOP), svt-av1 240 and
+    vp9 100, each at its grid's one preset.
     """
-    if codec == "x265-extended":
-        return extended_x265_configs()
     return _expand_grid(grid_for(codec))
-
-
-# Preset-based extension of the x265 grid: two profile groups reaching into
-# slower presets and deeper GOP pyramids.  No exact total is contractual.
-_EXTENDED_GROUPS = (
-    (("ultrafast", "superfast", "veryfast", "faster", "fast", "medium", "slow"),
-     ("AI", "B2", "B4", "B6", "ZL")),
-    (("slower", "veryslow", "placebo"),
-     ("AI", "B6", "B8", "B10", "ZL")),
-)
-
-
-def extended_x265_configs() -> list[EncodingConfig]:
-    configs = []
-    for presets, gops in _EXTENDED_GROUPS:
-        for preset in presets:
-            for gop in gops:
-                for qp in (22, 27, 32, 37, 42):
-                    for gop_type in ("closed", "open"):
-                        for deblock in (False, True):
-                            for sao in (False, True):
-                                configs.append(
-                                    EncodingConfig(
-                                        codec="x265",
-                                        gop=gop,
-                                        qp=qp,
-                                        filters=(("deblock", deblock), ("sao", sao)),
-                                        gop_type=gop_type,
-                                        preset=preset,
-                                    )
-                                )
-    return configs
 
 
 class Encoder(Protocol):
@@ -519,22 +475,41 @@ SWEEP_COLUMNS = (
 )
 
 
-def measurement_key(m: SegmentMeasurement) -> tuple:
-    c = m.config
-    return (m.segment_index, c.codec, c.gop, c.gop_type or "-", c.qp, c.filters_label())
+_NUMBER_COLUMNS = ("bitrate_kbps", "psnr_db", "vmaf", "fps", "enc_time_s")
 
 
-def sweep_record(m: SegmentMeasurement, pareto: bool | None = None) -> str:
+def sweep_row(m: SegmentMeasurement, pareto: bool | None = None) -> dict:
+    """A measurement as its table row holds it: numbers to 6 significant digits."""
     c = m.config
-    fields = [
-        str(m.segment_index), c.codec, c.gop, c.gop_type or "-", str(c.qp),
-        c.filters_label(),
-        f"{m.bitrate:.6g}", f"{m.quality_psnr:.6g}",
-        "-" if m.quality_vmaf is None else f"{m.quality_vmaf:.6g}",
-        f"{m.enc_rate:.6g}", f"{m.enc_time:.6g}",
-        "-" if pareto is None else ("1" if pareto else "0"),
-    ]
-    return "\t".join(fields)
+    numbers = (m.bitrate, m.quality_psnr, m.quality_vmaf, m.enc_rate, m.enc_time)
+    rec = {
+        "segment_id": m.segment_index, "codec": c.codec, "gop": c.gop,
+        "gop_type": c.gop_type or "-", "qp": c.qp, "filters": c.filters_label(),
+        "pareto": "-" if pareto is None else ("1" if pareto else "0"),
+    }
+    for col, value in zip(_NUMBER_COLUMNS, numbers):
+        rec[col] = None if value is None else float(f"{value:.6g}")
+    return rec
+
+
+def _row_line(rec: dict) -> str:
+    cells = []
+    for col in SWEEP_COLUMNS:
+        value = rec.get(col)
+        if value is None:
+            cells.append("-")
+        else:
+            cells.append(f"{value:.6g}" if col in _NUMBER_COLUMNS else str(value))
+    return "\t".join(cells)
+
+
+def write_sweep_rows(path: str | Path, rows: Iterable[dict]) -> None:
+    """Replace the table with these rows, through a temporary file and ``os.replace``."""
+    path = Path(path)
+    lines = [SWEEP_HEADER, "\t".join(SWEEP_COLUMNS), *map(_row_line, rows)]
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text("".join(line + "\n" for line in lines))
+    os.replace(tmp, path)
 
 
 def write_sweep_table(
@@ -544,17 +519,11 @@ def write_sweep_table(
     pareto_flags: Sequence[bool] | None = None,
     append: bool = False,
 ) -> None:
-    path = Path(path)
     rows = list(measurements)
     flags: Sequence[bool | None]
     flags = pareto_flags if pareto_flags is not None else [None] * len(rows)
-    mode = "a" if append and path.exists() else "w"
-    with path.open(mode) as fh:
-        if mode == "w":
-            fh.write(SWEEP_HEADER + "\n")
-            fh.write("\t".join(SWEEP_COLUMNS) + "\n")
-        for m, flag in zip(rows, flags):
-            fh.write(sweep_record(m, flag) + "\n")
+    old = read_sweep_table(path) if append and Path(path).exists() else []
+    write_sweep_rows(path, old + [sweep_row(m, flag) for m, flag in zip(rows, flags)])
 
 
 def read_sweep_table(path: str | Path) -> list[dict]:
@@ -582,3 +551,9 @@ def sweep_row_key(rec: dict) -> tuple:
         rec["segment_id"], rec["codec"], rec["gop"],
         rec.get("gop_type", "-") or "-", rec["qp"], rec["filters"],
     )
+
+
+def config_row_key(segment_index: int, config: EncodingConfig) -> tuple:
+    """``sweep_row_key`` of the row that encoding ``config`` on the segment adds."""
+    c = config
+    return (segment_index, c.codec, c.gop, c.gop_type or "-", c.qp, c.filters_label())

@@ -172,14 +172,6 @@ class QualityScores:
     psnr_u: float
     psnr_v: float
     psnr611: float
-    vmaf: float | None = None
-    ssim: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.vmaf is not None and not (0.0 <= self.vmaf <= 100.0):
-            raise MediaError("vmaf must be within [0, 100]")
-        if self.ssim is not None and not (-1.0 <= self.ssim <= 1.0 + 1e-12):
-            raise MediaError("ssim must be within [-1, 1]")
 
 
 def _check_match(ref: RawVideo, dist: RawVideo) -> None:

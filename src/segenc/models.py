@@ -16,14 +16,12 @@ re-expanded to the plain uncentered convention, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy import stats
 
 ADJ_R2_THRESHOLD = 0.9
-
-OBJECTIVES = ("psnr", "vmaf", "bits", "enc_rate")
 
 
 class FitError(ValueError):
@@ -239,7 +237,3 @@ def predict(model: RdModel, qp: float) -> float:
 def predict_flagged(model: RdModel, qp: float) -> tuple[float, bool]:
     """Prediction plus an extrapolation flag when qp leaves the training range."""
     return predict(model, qp), not model.in_range(qp)
-
-
-def export_models(models: Sequence[RdModel]) -> list[dict]:
-    return [m.to_record() for m in models]

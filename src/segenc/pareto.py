@@ -3,17 +3,19 @@
 Objectives are canonical-minimization internally: quality is maximized,
 bitrate and encoding cost are minimized.  Encoding cost is either seconds
 of encoding time or 1/fps, so the same dominance routine serves both the
-time-oriented and the rate-oriented formulation.
+time-oriented and the rate-oriented formulation.  Mode selection reads the
+mode's objective from ``solver.MODES`` and checks each entry's values,
+quality keyed by the constraint set's quality metric, against its bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .solver import ConstraintSet, check_constraints
+from .solver import ConstraintSet, check_constraints, get_mode
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,6 +36,11 @@ class ObjectivePoint:
     @property
     def enc_rate(self) -> float:
         return 1.0 / self.enc_cost
+
+    def cost(self, objective: str) -> float:
+        """A mode objective ("quality", "bits" or "enc_rate") as a value to minimise."""
+        costs = {"quality": -self.quality, "bits": self.bitrate, "enc_rate": self.enc_cost}
+        return costs[objective]
 
 
 def dominates(a: ObjectivePoint, b: ObjectivePoint) -> bool:
@@ -96,9 +103,9 @@ def pareto_front(
 
 
 def _entry_predictions(
-    point: ObjectivePoint, cost_kind: str, frames: int | None
+    point: ObjectivePoint, cost_kind: str, frames: int | None, quality_metric: str
 ) -> dict[str, float]:
-    pred = {"quality": point.quality, "bits": point.bitrate}
+    pred = {quality_metric: point.quality, "bits": point.bitrate}
     if cost_kind == "time":
         pred["enc_time"] = point.enc_cost
     else:
@@ -106,14 +113,6 @@ def _entry_predictions(
         if frames is not None:
             pred["enc_time"] = frames / point.enc_rate
     return pred
-
-
-_MODE_KEY: dict[str, Callable[[ObjectivePoint], float]] = {
-    "max_quality": lambda p: -p.quality,
-    "min_bitrate": lambda p: p.bitrate,
-    "max_enc_rate": lambda p: p.enc_cost,
-    "min_enc_time": lambda p: p.enc_cost,
-}
 
 
 def select_mode_optimal(
@@ -129,16 +128,15 @@ def select_mode_optimal(
     """
     if not front.entries:
         raise ValueError("empty front")
-    if mode not in _MODE_KEY:
-        raise ValueError(f"unknown mode {mode!r}")
-    objective = _MODE_KEY[mode]
+    objective = get_mode(mode).objective
 
     feasible: list[tuple[int, Any, ObjectivePoint]] = []
     fallback: tuple[float, int] | None = None
     fallback_entry: tuple[Any, ObjectivePoint] | None = None
     for i, (config, point) in enumerate(front.entries):
         satisfied, violations = check_constraints(
-            _entry_predictions(point, front.cost_kind, frames), constraints
+            _entry_predictions(point, front.cost_kind, frames, constraints.quality_metric),
+            constraints,
         )
         if satisfied:
             feasible.append((i, config, point))
@@ -155,7 +153,7 @@ def select_mode_optimal(
     def sort_key(item: tuple[int, Any, ObjectivePoint]):
         i, config, point = item
         qp = getattr(config, "qp", 0)
-        return (objective(point), point.bitrate, qp, i)
+        return (point.cost(objective), point.bitrate, qp, i)
 
     _, config, point = min(feasible, key=sort_key)
     return config, point

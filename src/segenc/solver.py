@@ -5,6 +5,10 @@ default QP (27 for x265/VP9, 30 for AV1-style codecs), mode-aware integer
 rounding, soft-violation checking, and a +/-4 local search when the rounded
 solution fails its constraint check.
 
+Every module reads what a mode means from ``MODES`` (objective, direction,
+bound inverted first, QP rounding; ``min_enc_time`` aliases ``max_enc_rate``)
+and what a bound means from ``_BOUND_SPECS`` (objective, side, tolerance).
+
 Constraint bounds pass when the prediction stays within a relative
 tolerance band of the bound: by default 10% for bitrate, 10% for encoding
 rate, 5% for quality.  The bands absorb forward-model prediction error.
@@ -23,14 +27,36 @@ from .models import RdModel, predict
 DEFAULT_NEWTON_START = 27.0
 NEWTON_MAX_ITER = 50
 
-MODES = ("max_quality", "min_bitrate", "max_enc_rate", "min_enc_time")
 
-# bound name -> (objective key, kind); "quality" resolves via quality_metric
+@dataclass(frozen=True, slots=True)
+class Mode:
+    """What a constrained mode optimises, and how it rounds a solved QP."""
+
+    objective: str  # "quality" (resolved via quality_metric), "bits" or "enc_rate"
+    maximize: bool
+    dominant: str  # the bound inverted first
+    round_up: bool | None  # None: toward faster encodes, as the rate orientation says
+
+    def value(self, predicted: Mapping[str, float], quality_metric: str) -> float:
+        """The mode objective of a prediction, as a value to minimise."""
+        value = predicted[quality_metric if self.objective == "quality" else self.objective]
+        return -value if self.maximize else value
+
+
+MODES: dict[str, Mode] = {
+    "max_quality": Mode("quality", maximize=True, dominant="max_bitrate_kbps", round_up=False),
+    "min_bitrate": Mode("bits", maximize=False, dominant="min_quality", round_up=True),
+    "max_enc_rate": Mode("enc_rate", maximize=True, dominant="min_quality", round_up=None),
+}
+MODES["min_enc_time"] = MODES["max_enc_rate"]  # the paper's earlier name for it
+
+# bound name -> (objective key, kind, tolerance field); "quality" resolves
+# via quality_metric, and max_time_s bounds encoding rate through enc_time
 _BOUND_SPECS = {
-    "max_bitrate_kbps": ("bits", "upper"),
-    "min_quality": ("quality", "lower"),
-    "min_fps": ("enc_rate", "lower"),
-    "max_time_s": ("enc_time", "upper"),
+    "max_bitrate_kbps": ("bits", "upper", "tol_bitrate"),
+    "min_quality": ("quality", "lower", "tol_quality"),
+    "min_fps": ("enc_rate", "lower", "tol_fps"),
+    "max_time_s": ("enc_time", "upper", "tol_fps"),
 }
 
 class SolverError(ValueError):
@@ -60,17 +86,12 @@ class ConstraintSet:
     tol_quality: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise SolverError(f"unknown mode {self.mode!r}")
+        get_mode(self.mode)
         if self.quality_metric not in ("psnr", "vmaf", "ssim"):
             raise SolverError(f"unknown quality metric {self.quality_metric!r}")
-        for tol in (self.tol_bitrate, self.tol_fps, self.tol_quality):
-            if not 0.0 <= tol <= 0.5:
-                raise SolverError("tolerances must be within [0, 0.5]")
-        if not any(
-            v is not None
-            for v in (self.max_bitrate_kbps, self.min_quality, self.min_fps, self.max_time_s)
-        ):
+        if not all(0.0 <= tol <= 0.5 for tol in self.tolerances().values()):
+            raise SolverError("tolerances must be within [0, 0.5]")
+        if not self.bounds():
             raise SolverError("at least one bound must be set")
 
     def bounds(self) -> dict[str, float]:
@@ -81,45 +102,44 @@ class ConstraintSet:
                 out[name] = value
         return out
 
+    def tolerances(self) -> dict[str, float]:
+        return {spec[2]: getattr(self, spec[2]) for spec in _BOUND_SPECS.values()}
+
     def without_tolerances(self) -> "ConstraintSet":
-        return replace(self, tol_bitrate=0.0, tol_fps=0.0, tol_quality=0.0)
+        return replace(self, **dict.fromkeys(self.tolerances(), 0.0))
 
     def objective_for(self, bound_name: str) -> str:
         obj = _BOUND_SPECS[bound_name][0]
         return self.quality_metric if obj == "quality" else obj
 
     def tolerance_for(self, bound_name: str) -> float:
-        return {
-            "max_bitrate_kbps": self.tol_bitrate,
-            "min_quality": self.tol_quality,
-            "min_fps": self.tol_fps,
-            "max_time_s": self.tol_fps,
-        }[bound_name]
+        return getattr(self, _BOUND_SPECS[bound_name][2])
+
+
+def get_mode(name: str) -> Mode:
+    try:
+        return MODES[name]
+    except KeyError:
+        raise SolverError(f"unknown mode {name!r}") from None
 
 
 def make_mode(mode_name: str, bounds: Mapping[str, float], **tolerances: float) -> ConstraintSet:
     """Validated constraint set for a named mode.
 
-    The optimized objective must not be bounded; the two opposing
-    objectives must be (time/rate may be bounded through either min_fps or
-    max_time_s).
+    The optimized objective must not be bounded; each of the two opposing
+    objectives must be (encoding rate through either min_fps or max_time_s).
     """
     cs = ConstraintSet(mode=mode_name, **bounds, **tolerances)
-    if mode_name == "max_quality":
-        if cs.min_quality is not None:
-            raise SolverError("max_quality must not bound quality")
-        if cs.max_bitrate_kbps is None or (cs.min_fps is None and cs.max_time_s is None):
-            raise SolverError("max_quality requires max_bitrate_kbps and min_fps (or max_time_s)")
-    elif mode_name == "min_bitrate":
-        if cs.max_bitrate_kbps is not None:
-            raise SolverError("min_bitrate must not bound bitrate")
-        if cs.min_quality is None or (cs.min_fps is None and cs.max_time_s is None):
-            raise SolverError("min_bitrate requires min_quality and min_fps (or max_time_s)")
-    else:  # rate/time modes
-        if cs.min_fps is not None or cs.max_time_s is not None:
-            raise SolverError(f"{mode_name} must not bound encoding rate/time")
-        if cs.min_quality is None or cs.max_bitrate_kbps is None:
-            raise SolverError(f"{mode_name} requires min_quality and max_bitrate_kbps")
+    bounded = cs.bounds().keys()
+    by_objective: dict[str, list[str]] = {}
+    for name, (obj, _, _) in _BOUND_SPECS.items():
+        by_objective.setdefault("enc_rate" if obj == "enc_time" else obj, []).append(name)
+    optimized = by_objective.pop(MODES[mode_name].objective)
+    if bounded & set(optimized):
+        raise SolverError(f"{mode_name} must not set {' or '.join(optimized)}")
+    missing = [" or ".join(names) for names in by_objective.values() if not bounded & set(names)]
+    if missing:
+        raise SolverError(f"{mode_name} requires {' and '.join(missing)}")
     return cs
 
 
@@ -136,8 +156,6 @@ def check_constraints(
     for name, bound in constraints.bounds().items():
         kind = _BOUND_SPECS[name][1]
         key = constraints.objective_for(name)
-        if key == constraints.quality_metric and key not in predicted and "quality" in predicted:
-            key = "quality"
         if key not in predicted:
             raise SolverError(f"missing prediction for bounded objective {key!r}")
         value = predicted[key]
@@ -230,16 +248,13 @@ def round_qp(qp_real: float, mode: str, *, rate_increases_with_qp: bool = True) 
     fall with QP); rate/time modes round toward faster encodes.  Exact
     integers pass through unchanged.
     """
-    if mode not in MODES:
-        raise SolverError(f"unknown mode {mode!r}")
+    round_up = get_mode(mode).round_up
     nearest = round(qp_real)
     if abs(qp_real - nearest) < 1e-9:
         return int(nearest)
-    if mode == "max_quality":
-        return int(math.floor(qp_real))
-    if mode == "min_bitrate":
-        return int(math.ceil(qp_real))
-    return int(math.ceil(qp_real) if rate_increases_with_qp else math.floor(qp_real))
+    if round_up is None:
+        round_up = rate_increases_with_qp
+    return int(math.ceil(qp_real) if round_up else math.floor(qp_real))
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,14 +265,6 @@ class QpSolution:
     satisfied: bool
     violations: dict[str, float]
     extrapolated: bool = False
-
-
-_MODE_SORT = {
-    "max_quality": lambda pred, metric: -pred[metric],
-    "min_bitrate": lambda pred, metric: pred["bits"],
-    "max_enc_rate": lambda pred, metric: -pred["enc_rate"],
-    "min_enc_time": lambda pred, metric: -pred["enc_rate"],
-}
 
 
 def predict_objectives(
@@ -283,8 +290,8 @@ def _evaluate(
 def _candidate_sort_key(
     qp: int, pred: Mapping[str, float], constraints: ConstraintSet
 ) -> tuple[float, float, int]:
-    metric = constraints.quality_metric
-    return (_MODE_SORT[constraints.mode](pred, metric), pred.get("bits", 0.0), qp)
+    value = MODES[constraints.mode].value(pred, constraints.quality_metric)
+    return (value, pred.get("bits", 0.0), qp)
 
 
 def local_search(
@@ -357,12 +364,7 @@ def solve_constrained(
     on the mode objective wins; if none is feasible a +/-4 local search
     around the dominant candidate decides.
     """
-    dominant = {
-        "max_quality": "max_bitrate_kbps",
-        "min_bitrate": "min_quality",
-        "max_enc_rate": "min_quality",
-        "min_enc_time": "min_quality",
-    }[constraints.mode]
+    dominant = MODES[constraints.mode].dominant
     bound_names = list(constraints.bounds())
     bound_names.sort(key=lambda nm: (nm != dominant))
 

@@ -10,7 +10,15 @@ import pytest
 from segenc import cli
 from segenc.cli import main
 from segenc.bd import write_rd_file
-from segenc.encoders import read_sweep_table, sweep_row_key
+from segenc.encoders import (
+    SyntheticEncoder,
+    config_row_key,
+    read_sweep_table,
+    sweep_row_key,
+    write_sweep_table,
+)
+from segenc.media import make_segments
+from segenc.pareto import ObjectivePoint, front_flags
 
 import lossy_codec
 import refmetrics
@@ -47,6 +55,32 @@ class TestSweep:
         rows = read_sweep_table(out)
         assert {r["segment_id"] for r in rows} == {0, 1, 2, 3}
         assert len(rows) == 80
+
+    def test_resume_flags_the_whole_segment(self, tmp_path):
+        sweep = ("sweep", "--codec", "synthetic", "--frames", 150, "--fps", 50, "--segment", 0)
+        fresh = tmp_path / "fresh.tsv"
+        assert run_cli(*sweep, "--out", fresh) == 0
+        want = {sweep_row_key(r): r["pareto"] for r in read_sweep_table(fresh)}
+
+        # a sweep that died midway: the rows off the front and three on it,
+        # flagged over those rows alone
+        encoder = SyntheticEncoder()
+        segment = make_segments(150, 50)[0]
+        measured = {config_row_key(0, c): encoder.encode(c, segment)
+                    for c in encoder.configs()}
+        off = [m for key, m in measured.items() if want[key] == "0"]
+        on = [m for key, m in measured.items() if want[key] == "1"][:3]
+        points = [
+            (m, ObjectivePoint.from_enc_rate(m.quality_psnr, m.bitrate, m.enc_rate))
+            for m in off + on
+        ]
+        resumed = tmp_path / "resumed.tsv"
+        write_sweep_table(resumed, off + on, pareto_flags=front_flags(points))
+        partial = {sweep_row_key(r): r["pareto"] for r in read_sweep_table(resumed)}
+        assert any(partial[key] != want[key] for key in partial)
+
+        assert run_cli(*sweep, "--out", resumed) == 0
+        assert {sweep_row_key(r): r["pareto"] for r in read_sweep_table(resumed)} == want
 
 
     def test_parallel_process_sweep_loses_no_config(self, tmp_path, capsys):

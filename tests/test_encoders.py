@@ -18,7 +18,6 @@ from segenc.encoders import (
     SyntheticLaw,
     default_law,
     enumerate_configs,
-    extended_x265_configs,
     grid_for,
     read_sweep_table,
     sweep_row_key,
@@ -64,14 +63,6 @@ class TestGrids:
     def test_unknown_codec_rejected(self):
         with pytest.raises(EncoderError, match="unknown codec"):
             enumerate_configs("h263")
-
-    def test_extended_x265_grid(self):
-        configs = extended_x265_configs()
-        assert len(configs) == len(set(configs)) > 0
-        slow_gops = {c.gop for c in configs if c.preset == "placebo"}
-        assert slow_gops == {"AI", "B6", "B8", "B10", "ZL"}
-        fast_gops = {c.gop for c in configs if c.preset == "ultrafast"}
-        assert fast_gops == {"AI", "B2", "B4", "B6", "ZL"}
 
 
 class TestSyntheticLaw:
