@@ -244,11 +244,11 @@ def read_pu_series(path: str | Path) -> list[float]:
 
 def read_policy(path: str | Path) -> dict[str, ConstraintSet]:
     """JSON mapping of activity label to mode, bounds, and tolerances."""
-    raw = json.loads(Path(path).read_text())
-    policy = {}
-    for label, spec in raw.items():
-        policy[label] = ConstraintSet(**spec)
-    return policy
+    try:
+        raw = json.loads(Path(path).read_text())
+        return {label: ConstraintSet(**spec) for label, spec in raw.items()}
+    except (json.JSONDecodeError, AttributeError, TypeError) as exc:
+        raise ActivityError(f"bad policy file {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

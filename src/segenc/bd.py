@@ -165,23 +165,29 @@ def write_rd_file(path: str | Path, rows: Sequence[dict]) -> None:
         fh.write(RD_HEADER + "\n")
         fh.write("\t".join(RD_COLUMNS) + "\n")
         for row in rows:
-            fh.write("\t".join(str(row[c]) for c in RD_COLUMNS) + "\n")
+            fh.write("\t".join("-" if row[c] is None else str(row[c]) for c in RD_COLUMNS) + "\n")
 
 
 def read_rd_file(path: str | Path) -> dict[str, list[dict]]:
-    """RD-point records grouped by codec label."""
+    """RD-point records grouped by codec label; a ``-`` quality cell reads as None."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#segenc-rd"):
         raise BdError(f"{path} is not an RD-point file")
     by_codec: dict[str, list[dict]] = {}
-    for line in lines[2:]:
+    for number, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
         parts = line.split("\t")
+        if len(parts) != len(RD_COLUMNS):
+            raise BdError(f"{path}:{number}: {len(parts)} cells, an RD row has {len(RD_COLUMNS)}")
         rec = dict(zip(RD_COLUMNS, parts))
-        rec["qp"] = int(float(rec["qp"]))
-        for key in ("bitrate_kbps", "psnr611", "vmaf"):
-            rec[key] = float(rec[key])
+        try:
+            rec["qp"] = int(float(rec["qp"]))
+            rec["bitrate_kbps"] = float(rec["bitrate_kbps"])
+            for key in ("psnr611", "vmaf"):
+                rec[key] = None if rec[key] == "-" else float(rec[key])
+        except ValueError as exc:
+            raise BdError(f"{path}:{number}: {exc}") from None
         by_codec.setdefault(rec["codec"], []).append(rec)
     if not by_codec:
         raise BdError(f"{path} holds no RD points")
@@ -193,6 +199,9 @@ def curves_from_records(
 ) -> list[RdCurve]:
     if axis not in ("psnr611", "vmaf"):
         raise BdError(f"unknown quality axis {axis!r}")
+    for codec, rows in by_codec.items():
+        if any(r[axis] is None for r in rows):
+            raise BdError(f"codec {codec!r} has RD points without {axis}")
     return [
         RdCurve(codec, tuple((r["bitrate_kbps"], r[axis]) for r in rows))
         for codec, rows in by_codec.items()

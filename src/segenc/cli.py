@@ -192,17 +192,20 @@ def _constraints_from_args(args) -> ConstraintSet:
 def _schedule_fn(path: str | None):
     if path is None:
         return None
-    spec = json.loads(Path(path).read_text())
-    regions = []
-    for region in spec["regions"]:
-        cs = ConstraintSet(**region["constraints"])
-        regions.append((int(region["start_frame"]), int(region["end_frame"]), cs))
+    try:
+        regions = [
+            (int(r["start_frame"]), int(r["end_frame"]), ConstraintSet(**r["constraints"]))
+            for r in json.loads(Path(path).read_text())["regions"]
+        ]
+        last = regions[-1][2]
+    except (LookupError, TypeError, ValueError) as exc:  # bad JSON, a missing key or value
+        raise DataError(f"bad constraint schedule {path}: {exc!r}") from None
 
     def lookup(segment: media.Segment) -> ConstraintSet:
         for start, end, cs in regions:
             if start <= segment.start < end:
                 return cs
-        return regions[-1][2]
+        return last
 
     return lookup
 

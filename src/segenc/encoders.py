@@ -3,9 +3,12 @@
 Each codec exposes a Cartesian configuration grid (GOP structure x QP x
 filter flags, plus open/closed GOP for x265).  Real encoders are driven as
 black boxes through shell command templates with ``{input}``, ``{output}``,
-``{qp}``, ``{gop}``, ``{keyint}``, ``{width}``, ``{height}``, ``{fps}`` and
-``{threads}`` placeholders; bitrate comes from the output payload size and
-encoding rate from the encoder's wall-clock time.
+``{qp}``, ``{gop}``, ``{gop_type}``, ``{preset}``, ``{keyint}``, ``{frames}``,
+``{width}``, ``{height}``, ``{fps}``, ``{threads}`` and a 0/1 ``{deblock}``,
+``{sao}`` or ``{restoration}`` per filter flag; the VMAF template has
+``{reference}``, ``{distorted}`` and ``{log}`` instead of input and output.
+Bitrate comes from the output payload size and encoding rate from the
+encoder's wall-clock time.
 
 The synthetic encoder evaluates a known ground-truth law
 
@@ -378,6 +381,7 @@ class ProcessEncoder:
             "qp": config.qp,
             "gop": config.gop,
             "gop_type": config.gop_type or "",
+            "preset": config.preset or "",
             "keyint": segment.frame_count,
             "width": self.video.width,
             "height": self.video.height,
@@ -527,21 +531,28 @@ def write_sweep_table(
 
 
 def read_sweep_table(path: str | Path) -> list[dict]:
-    """Rows as dicts keyed by SWEEP_COLUMNS; tolerant of the older marker-less form."""
+    """Rows as dicts keyed by SWEEP_COLUMNS; the first line must be the marker."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#segenc-sweep"):
         raise EncoderError(f"{path} is not a sweep table")
     rows = []
-    for line in lines[2:]:
+    for number, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
         parts = line.split("\t")
+        if len(parts) != len(SWEEP_COLUMNS):
+            raise EncoderError(
+                f"{path}:{number}: {len(parts)} cells, a sweep row has {len(SWEEP_COLUMNS)}"
+            )
         rec = dict(zip(SWEEP_COLUMNS, parts))
-        rec["segment_id"] = int(rec["segment_id"])
-        rec["qp"] = int(rec["qp"])
-        for key in ("bitrate_kbps", "psnr_db", "fps", "enc_time_s"):
-            rec[key] = float(rec[key])
-        rec["vmaf"] = None if rec.get("vmaf") in ("-", None) else float(rec["vmaf"])
+        try:
+            rec["segment_id"] = int(rec["segment_id"])
+            rec["qp"] = int(rec["qp"])
+            for key in ("bitrate_kbps", "psnr_db", "fps", "enc_time_s"):
+                rec[key] = float(rec[key])
+            rec["vmaf"] = None if rec["vmaf"] == "-" else float(rec["vmaf"])
+        except ValueError as exc:
+            raise EncoderError(f"{path}:{number}: {exc}") from None
         rows.append(rec)
     return rows
 

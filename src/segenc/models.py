@@ -11,11 +11,14 @@ design well conditioned over QP in [16, 52]; reported coefficients are
 re-expanded to the plain uncentered convention, so
 
     predict(model, qp) == exp(c0 + c1*qp + c2*qp^2 + ...)
+
+A fit records its adjusted R^2 and largest residual; coefficient p-values
+are computed on demand by ``coefficient_p_values``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -32,7 +35,6 @@ class FitError(ValueError):
 class FitDiagnostics:
     adjusted_r2: float
     residual_max: float
-    p_values: tuple[float, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,42 +73,19 @@ class RdModel:
     def in_range(self, qp: float) -> bool:
         return self.qp_min - 1e-9 <= qp <= self.qp_max + 1e-9
 
-    def to_record(self) -> dict:
-        return {
-            "objective": self.objective,
-            "gop": self.gop,
-            "filters": dict(self.filters) if self.filters is not None else None,
-            "order": self.order,
-            "coefficients": list(self.coefficients),
-            "adjusted_r2": self.adjusted_r2,
-            "qp_min": self.qp_min,
-            "qp_max": self.qp_max,
-            "low_confidence": self.low_confidence,
-        }
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "RdModel":
-        filters = rec.get("filters")
-        return cls(
-            coefficients=tuple(rec["coefficients"]),
-            qp_min=rec["qp_min"],
-            qp_max=rec["qp_max"],
-            diagnostics=FitDiagnostics(rec.get("adjusted_r2", float("nan")), 0.0, ()),
-            objective=rec.get("objective"),
-            gop=rec.get("gop"),
-            filters=tuple(sorted(filters.items())) if filters else None,
-            low_confidence=bool(rec.get("low_confidence", False)),
-        )
+def _shift_coefficients(centered: list[float], mid: float) -> list[float]:
+    """Re-expand sum c_i * (qp - mid)**i to plain powers of qp, by Horner's rule.
 
-
-def _shift_coefficients(centered: np.ndarray, mid: float) -> np.ndarray:
-    """Re-expand a polynomial in (qp - mid) to plain powers of qp."""
-    poly = np.polynomial.Polynomial(centered)
-    shifted = poly(np.polynomial.Polynomial([-mid, 1.0]))
-    coef = shifted.coef
-    if len(coef) < len(centered):
-        coef = np.pad(coef, (0, len(centered) - len(coef)))
-    return coef
+    Bit-identical to numpy's ``Polynomial(centered)(Polynomial([-mid, 1]))``:
+    same operation order, and ``0.0 +`` makes -0.0 sums +0.0 as numpy does.
+    """
+    out = [0.0] * len(centered)
+    for c in reversed(centered):
+        for k in range(len(out) - 1, 0, -1):
+            out[k] = 0.0 + out[k - 1] - out[k] * mid
+        out[0] = c + (0.0 - out[0] * mid)
+    return out
 
 
 def _prepare(samples: Iterable[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
@@ -147,55 +126,50 @@ def fit_log_poly(
         raise FitError("degenerate data: zero response variance")
 
     mid = (qp.min() + qp.max()) / 2.0
-    qc = qp - mid
-    design = np.vander(qc, order + 1, increasing=True)
+    design = np.vander(qp - mid, order + 1, increasing=True)
     centered, *_ = np.linalg.lstsq(design, y, rcond=None)
-    coeffs = _shift_coefficients(centered, mid)
 
-    fitted = design @ centered
-    residuals = y - fitted
+    residuals = y - design @ centered
     ss_res = float(residuals @ residuals)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot
     n = qp.size
     dof = n - order - 1
     adjusted = 1.0 - (1.0 - r2) * (n - 1) / dof if dof >= 1 else r2
-
-    p_values = _coefficient_p_values(qp, y, coeffs, ss_res, dof)
-    diag = FitDiagnostics(
-        adjusted_r2=adjusted,
-        residual_max=float(np.max(np.abs(residuals))),
-        p_values=p_values,
-    )
     return RdModel(
-        coefficients=tuple(float(c) for c in coeffs),
+        coefficients=tuple(_shift_coefficients(centered.tolist(), float(mid))),
         qp_min=float(qp.min()),
         qp_max=float(qp.max()),
-        diagnostics=diag,
+        diagnostics=FitDiagnostics(adjusted, float(np.max(np.abs(residuals)))),
         objective=objective,
         gop=gop,
         filters=filters,
     )
 
 
-def _coefficient_p_values(
-    qp: np.ndarray, y: np.ndarray, coeffs: np.ndarray, ss_res: float, dof: int
+def coefficient_p_values(
+    model: RdModel, samples: Iterable[tuple[float, float]]
 ) -> tuple[float, ...]:
-    """Two-sided t-test p-values for each coefficient (uncentered basis)."""
-    order = len(coeffs) - 1
-    design = np.vander(qp, order + 1, increasing=True)
+    """Two-sided t-test p-value of each coefficient of ``model``.
+
+    ``samples`` are those the model was fit to; the design is uncentered.
+    NaN throughout when the fit leaves no residual degree of freedom.
+    """
+    qp, values = _prepare(samples)
+    coeffs = np.asarray(model.coefficients)
+    dof = qp.size - model.order - 1
     if dof < 1:
         return tuple(float("nan") for _ in coeffs)
-    sigma2 = ss_res / dof
-    cov = np.linalg.pinv(design.T @ design) * sigma2
+    design = np.vander(qp, model.order + 1, increasing=True)
+    residuals = np.log(values) - design @ coeffs
+    cov = np.linalg.pinv(design.T @ design) * (float(residuals @ residuals) / dof)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     out = []
     for c, s in zip(coeffs, se):
         if s == 0.0:
             out.append(0.0 if c != 0.0 else 1.0)
         else:
-            t = abs(c) / s
-            out.append(float(2.0 * stats.t.sf(t, dof)))
+            out.append(float(2.0 * stats.t.sf(abs(c) / s, dof)))
     return tuple(out)
 
 
@@ -219,14 +193,11 @@ def select_order(
     feasible = [o for o in (1, 2, 3) if distinct >= o + 1]
     if not feasible:
         raise FitError("rank-deficient design: need at least 2 distinct QPs")
-    last: RdModel | None = None
     for order in feasible:
         model = fit_log_poly(pairs, order, objective=objective, gop=gop, filters=filters)
         if model.adjusted_r2 >= threshold:
             return model
-        last = model
-    assert last is not None
-    return replace(last, low_confidence=True)
+    return replace(model, low_confidence=True)
 
 
 def predict(model: RdModel, qp: float) -> float:

@@ -264,7 +264,6 @@ class QpSolution:
     predicted: dict[str, float]
     satisfied: bool
     violations: dict[str, float]
-    extrapolated: bool = False
 
 
 def predict_objectives(

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,9 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# child processes (``python -m segenc.cli``) import the package from src/ too
+_SRC = str(Path(__file__).parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 from segenc.models import RdModel, FitDiagnostics
 
@@ -20,7 +24,7 @@ def make_model(coefficients, qp_min=16.0, qp_max=43.0, objective=None) -> RdMode
         coefficients=tuple(coefficients),
         qp_min=qp_min,
         qp_max=qp_max,
-        diagnostics=FitDiagnostics(1.0, 0.0, ()),
+        diagnostics=FitDiagnostics(1.0, 0.0),
         objective=objective,
     )
 

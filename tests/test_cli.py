@@ -181,6 +181,25 @@ class TestOptimize:
         assert records[3]["qp"] == 32
 
 
+class TestMalformedSchedule:
+    @pytest.mark.parametrize("text, message", [
+        ('{"regions": [', "Expecting"),
+        ('{"regions": [{"start_frame": 0, "constraints": {"mode": "max_quality", '
+         '"max_bitrate_kbps": 9000, "min_fps": 20}}]}', "end_frame"),
+    ], ids=["bad-json", "missing-key"])
+    def test_is_data_error_naming_the_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "schedule.json"
+        path.write_text(text)
+        code = run_cli(
+            "optimize", "--codec", "synthetic", "--frames", 100, "--fps", 50,
+            "--mode", "max_quality", "--max-bitrate-kbps", 9000, "--min-fps", 20,
+            "--constraint-schedule", path,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+
+
 class TestProcessPath:
     """``optimize`` through ProcessEncoder with the lossy stand-in codec."""
 
@@ -334,6 +353,23 @@ class TestClassify:
         assert code == 2
 
 
+class TestMalformedPolicy:
+    @pytest.mark.parametrize("text, message", [
+        ('{"zoom": {"mode": ', "Expecting"),
+        ('{"zoom": {"mode": "min_bitrate", "min_quality_db": 38.0, "min_fps": 25.0}}',
+         "min_quality_db"),
+    ], ids=["bad-json", "unknown-key"])
+    def test_is_data_error_naming_the_file(self, tmp_path, rng, capsys, text, message):
+        mv_path, pu_path = write_mv_pu_files(tmp_path, rng)
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(text)
+        code = run_cli("classify", "--mv-file", mv_path, "--pu-file", pu_path,
+                       "--policy", policy_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(policy_path) in err and message in err
+
+
 class TestBdrate:
     def rd_rows(self, codec, scale=1.0):
         return [
@@ -374,6 +410,32 @@ class TestBdrate:
         a = tmp_path / "a.rd"
         write_rd_file(a, self.rd_rows("only"))
         assert run_cli("bdrate", a) == 2
+
+    def test_files_without_vmaf(self, tmp_path, capsys):
+        a = tmp_path / "a.rd"
+        b = tmp_path / "b.rd"
+        write_rd_file(a, [{**row, "vmaf": None} for row in self.rd_rows("one")])
+        write_rd_file(b, [{**row, "vmaf": None} for row in self.rd_rows("two")])
+        assert "\t-\n" in a.read_text()
+        assert run_cli("bdrate", a, b, "--axis", "psnr611") == 0
+        assert "0.00%" in capsys.readouterr().out
+        assert run_cli("bdrate", a, b, "--axis", "vmaf") == 2
+        assert "'one'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda line: line.rsplit("\t", 1)[0], "b.rd:4: 4 cells"),
+        (lambda line: line.replace("\t27\t", "\tqp27\t"), "b.rd:4: could not convert"),
+    ], ids=["short-row", "not-a-number"])
+    def test_bad_row_is_data_error_naming_the_line(self, tmp_path, capsys, cut, message):
+        a = tmp_path / "a.rd"
+        b = tmp_path / "b.rd"
+        write_rd_file(a, self.rd_rows("one"))
+        write_rd_file(b, self.rd_rows("two"))
+        lines = b.read_text().splitlines()
+        lines[3] = cut(lines[3])
+        b.write_text("\n".join(lines) + "\n")
+        assert run_cli("bdrate", a, b) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestMetrics:

@@ -7,6 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from segenc import encoders
 from segenc.coefficients import REFERENCE_MODEL_SETS
 from segenc.encoders import (
     CodecCommands,
@@ -266,6 +267,43 @@ class TestProcessEncoderFiles:
         assert list(tmp_path.glob("segenc-*")) == []
 
 
+PRESET_LOGGING_CODEC = textwrap.dedent(
+    """
+    import shutil, sys
+    src, dst, log, preset = sys.argv[1:5]
+    with open(log, "a") as fh:
+        fh.write(preset + "\\n")
+    shutil.copyfile(src, dst)
+    """
+)
+
+
+class TestPlaceholders:
+    def test_preset_reaches_the_templates(self, small_video, tmp_path):
+        script = tmp_path / "preset_codec.py"
+        script.write_text(PRESET_LOGGING_CODEC)
+        log = tmp_path / "preset.log"
+        run = f"{sys.executable} {script}"
+        commands = CodecCommands(
+            encode=f"{run} {{input}} {{output}} {log} {{preset}}",
+            decode=f"{run} {{input}} {{output}} {log} {{preset}}",
+        )
+        seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
+        cfg = enumerate_configs("vp9")[0]
+        with ProcessEncoder("vp9", commands, small_video, workdir=tmp_path / "w") as enc:
+            enc.encode(cfg, seg)
+        assert log.read_text().splitlines() == ["rt", "rt"]
+
+    @pytest.mark.parametrize("codec", ["x265", "vp9", "svt-av1"])
+    def test_module_docstring_lists_every_placeholder(self, codec, small_video, tmp_path):
+        enc = ProcessEncoder(codec, CodecCommands(encode=""), small_video, workdir=tmp_path)
+        seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
+        for cfg in enumerate_configs(codec):
+            paths = dict.fromkeys(("input", "output", "reference", "distorted", "log"), "")
+            for name in enc._substitutions(cfg, seg, **paths):
+                assert f"``{{{name}}}``" in encoders.__doc__
+
+
 class TestMeasurementAndSweepIO:
     def test_invalid_measurement_rejected(self):
         cfg = EncodingConfig("synthetic", "B6", 28, (("deblock", True),))
@@ -298,6 +336,21 @@ class TestMeasurementAndSweepIO:
         text = path.read_text()
         assert text.count("#segenc-sweep") == 1
         assert len(read_sweep_table(path)) == 4
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cells: cells[:10], "sweep.tsv:4: 10 cells"),
+        (lambda cells: cells[:6] + ["fast"] + cells[7:], "sweep.tsv:4: could not convert"),
+    ], ids=["short-row", "not-a-number"])
+    def test_bad_row_is_rejected_naming_the_line(self, tmp_path, edit, message):
+        enc = SyntheticEncoder()
+        seg = make_segments(150, 50)[0]
+        path = tmp_path / "sweep.tsv"
+        write_sweep_table(path, [enc.encode(cfg, seg) for cfg in enc.configs()[:3]])
+        lines = path.read_text().splitlines()
+        lines[3] = "\t".join(edit(lines[3].split("\t")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(EncoderError, match=message):
+            read_sweep_table(path)
 
     def test_grid_for_synthetic_matches_law(self):
         grid = grid_for("synthetic")

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 from segenc.coefficients import REFERENCE_MODEL_SETS
 from segenc.models import (
     FitError,
+    _shift_coefficients,
+    coefficient_p_values,
     fit_log_poly,
     predict,
     predict_flagged,
@@ -79,7 +83,79 @@ class TestFitRecovery:
             for q in X265_QPS
         ]
         model = fit_log_poly(noisy, 2)
-        assert model.diagnostics.p_values[1] <= 0.05  # QP term is significant
+        assert coefficient_p_values(model, noisy)[1] <= 0.05  # QP term is significant
+
+
+def numpy_shift(centered, mid):
+    """Reference re-expansion through numpy's Polynomial composition."""
+    coef = np.polynomial.Polynomial(centered)(np.polynomial.Polynomial([-mid, 1.0])).coef
+    return np.pad(coef, (0, len(centered) - len(coef)))
+
+
+def reference_p_values(samples, order):
+    """Fit-time p-values as computed before they moved out of the fit."""
+    qp = np.array([q for q, _ in samples], dtype=float)
+    y = np.log([v for _, v in samples])
+    mid = (qp.min() + qp.max()) / 2.0
+    centered_design = np.vander(qp - mid, order + 1, increasing=True)
+    centered, *_ = np.linalg.lstsq(centered_design, y, rcond=None)
+    coeffs = numpy_shift(centered, mid)
+    residuals = y - centered_design @ centered
+    dof = qp.size - order - 1
+    design = np.vander(qp, order + 1, increasing=True)
+    cov = np.linalg.pinv(design.T @ design) * (float(residuals @ residuals) / dof)
+    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    return [float(2.0 * stats.t.sf(abs(c) / s, dof)) for c, s in zip(coeffs, se)]
+
+
+COEFFICIENT = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestReexpansion:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        centered=st.integers(2, 4).flatmap(lambda n: st.lists(COEFFICIENT, min_size=n, max_size=n)),
+        mid=st.one_of(st.integers(32, 104).map(lambda k: k / 2.0), st.floats(16.0, 52.0)),
+        zero_leading=st.booleans(),
+    )
+    @example(centered=[1.5, -0.25, 0.0], mid=28.0, zero_leading=False)
+    @example(centered=[-0.0, 0.0], mid=16.0, zero_leading=False)
+    @example(centered=[-0.0, 16.0, 1.0], mid=16.0, zero_leading=False)  # exact cancellation
+    def test_bit_identical_to_numpy_composition(self, centered, mid, zero_leading):
+        if zero_leading:
+            centered = centered[:-1] + [0.0]
+        got = np.array(_shift_coefficients(centered, mid))
+        want = numpy_shift(np.array(centered), mid)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_fit_reports_the_shifted_centered_solution(self):
+        samples = samples_from(B6["bits"], X265_QPS)
+        model = fit_log_poly(samples, 2)
+        qp = np.array(X265_QPS, dtype=float)
+        mid = (qp.min() + qp.max()) / 2.0
+        centered, *_ = np.linalg.lstsq(
+            np.vander(qp - mid, 3, increasing=True), np.log([v for _, v in samples]), rcond=None
+        )
+        assert list(model.coefficients) == numpy_shift(centered, mid).tolist()
+
+
+class TestCoefficientPValues:
+    def test_agrees_with_fit_time_formula_on_noisy_fits(self, rng):
+        for trial in range(60):
+            order = 1 + trial % 3
+            qps = sorted(rng.choice(np.arange(16, 53), size=order + 3 + trial % 7, replace=False))
+            truth = (rng.uniform(2.0, 12.0), rng.uniform(-0.3, 0.1), rng.uniform(-0.004, 0.004))
+            noisy = [
+                (float(q), math.exp(truth[0] + truth[1] * q + truth[2] * q * q
+                                    + rng.normal(0.0, 0.02)))
+                for q in qps
+            ]
+            got = coefficient_p_values(fit_log_poly(noisy, order), noisy)
+            assert got == pytest.approx(reference_p_values(noisy, order), abs=1e-9)
+
+    def test_exact_interpolation_has_no_p_values(self):
+        samples = [(20, 100.0), (30, 50.0)]
+        assert all(math.isnan(p) for p in coefficient_p_values(fit_log_poly(samples, 1), samples))
 
 
 class TestSelectOrder:
@@ -140,20 +216,6 @@ class TestPredict:
         model = fit_log_poly(samples_from(B6["bits"], X265_QPS), 2)
         values = [predict(model, q) for q in np.linspace(16, 43, 100)]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_export_record_roundtrip(self):
-        model = fit_log_poly(
-            samples_from(B6["psnr"], X265_QPS), 2,
-            objective="psnr", gop="B6", filters=(("deblock", True), ("sao", True)),
-        )
-        rec = model.to_record()
-        assert rec["objective"] == "psnr"
-        assert rec["order"] == 2
-        from segenc.models import RdModel
-
-        back = RdModel.from_record(rec)
-        assert back.coefficients == model.coefficients
-        assert back.gop == "B6"
 
 
 class TestAllReferenceSets:
