@@ -531,7 +531,7 @@ def write_sweep_table(
 
 
 def read_sweep_table(path: str | Path) -> list[dict]:
-    """Rows as dicts keyed by SWEEP_COLUMNS; the first line must be the marker."""
+    """Rows as dicts keyed by SWEEP_COLUMNS; the first line must be ``#segenc-sweep``."""
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#segenc-sweep"):
         raise EncoderError(f"{path} is not a sweep table")
