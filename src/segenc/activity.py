@@ -8,6 +8,10 @@ selected by a Mann-Whitney U test, and the label with the most pairwise
 wins is the region's activity.  Activity boundaries are detected from
 relative changes in the per-frame prediction-unit count, and each label
 maps to a constraint set through a policy.
+
+The U test is scipy's.  ``select_bins`` imports it when first called, so
+importing this module, and every command that never selects bins, does
+not load scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .solver import ConstraintSet
 
@@ -106,6 +109,8 @@ def select_bins(
     b_vecs = np.array([f.vector() for lbl, f in training if lbl == pair[1]])
     if len(a_vecs) < 2 or len(b_vecs) < 2:
         raise ActivityError(f"need at least 2 samples per label for pair {pair}")
+    from scipy import stats  # about 1 s to import, so only when bins are selected
+
     selected = []
     for bin_idx in range(a_vecs.shape[1]):
         a = a_vecs[:, bin_idx]
@@ -212,15 +217,17 @@ def apply_policy(label: str, policy: ActivityPolicy) -> ConstraintSet:
 def read_mv_field(path: str | Path) -> dict[int, list[tuple[float, float]]]:
     """Line-delimited ``frame block_x block_y dx dy`` records, per frame."""
     frames: dict[int, list[tuple[float, float]]] = {}
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.replace(",", " ").split()
         if len(parts) != 5:
-            raise ActivityError(f"bad MV record: {line!r}")
-        frame = int(parts[0])
-        frames.setdefault(frame, []).append((float(parts[3]), float(parts[4])))
+            raise ActivityError(f"{path}:{number}: bad MV record: {line!r}")
+        try:
+            frames.setdefault(int(parts[0]), []).append((float(parts[3]), float(parts[4])))
+        except ValueError as exc:
+            raise ActivityError(f"{path}:{number}: {exc}") from None
     if not frames:
         raise ActivityError("empty MV field file")
     return frames
@@ -229,14 +236,17 @@ def read_mv_field(path: str | Path) -> dict[int, list[tuple[float, float]]]:
 def read_pu_series(path: str | Path) -> list[float]:
     """Line-delimited ``frame pu_count`` records, ordered by frame."""
     records: dict[int, float] = {}
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
-            raise ActivityError(f"bad PU record: {line!r}")
-        records[int(parts[0])] = float(parts[1])
+            raise ActivityError(f"{path}:{number}: bad PU record: {line!r}")
+        try:
+            records[int(parts[0])] = float(parts[1])
+        except ValueError as exc:
+            raise ActivityError(f"{path}:{number}: {exc}") from None
     if not records:
         raise ActivityError("empty PU series file")
     return [records[f] for f in sorted(records)]

@@ -13,7 +13,8 @@ re-expanded to the plain uncentered convention, so
     predict(model, qp) == exp(c0 + c1*qp + c2*qp^2 + ...)
 
 A fit records its adjusted R^2 and largest residual; coefficient p-values
-are computed on demand by ``coefficient_p_values``.
+are computed on demand by ``coefficient_p_values``, the one function here
+that loads scipy, and only when it is called.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
-from scipy import stats
 
 ADJ_R2_THRESHOLD = 0.9
 
@@ -155,6 +155,8 @@ def coefficient_p_values(
     ``samples`` are those the model was fit to; the design is uncentered.
     NaN throughout when the fit leaves no residual degree of freedom.
     """
+    from scipy import stats  # about 1 s to import, so only on demand
+
     qp, values = _prepare(samples)
     coeffs = np.asarray(model.coefficients)
     dof = qp.size - model.order - 1

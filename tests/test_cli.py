@@ -181,6 +181,25 @@ class TestOptimize:
         assert records[3]["qp"] == 32
 
 
+class TestMalformedProjectConfig:
+    @pytest.mark.parametrize("cfg", [
+        {"tolerances": {"tol_bitrate": "x"}},
+        {"tolerances": {"tol_bitrate": None}},
+        {"tolerances": 3},
+        [1, 2],
+    ], ids=["string-tolerance", "null-tolerance", "tolerances-not-object", "not-object"])
+    def test_is_data_error_naming_the_file(self, tmp_path, capsys, cfg):
+        path = tmp_path / "project.json"
+        path.write_text(json.dumps(cfg))
+        code = run_cli(
+            "optimize", "--codec", "synthetic", "--frames", 100, "--fps", 50,
+            "--mode", "max_quality", "--max-bitrate-kbps", 9000, "--min-fps", 20,
+            "--config", path,
+        )
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+
+
 class TestMalformedSchedule:
     @pytest.mark.parametrize("text, message", [
         ('{"regions": [', "Expecting"),
@@ -353,6 +372,24 @@ class TestClassify:
         assert code == 2
 
 
+class TestMalformedActivityFiles:
+    @pytest.mark.parametrize("mv_text, pu_text, bad", [
+        ("0 0 0 1.0 x\n", "0 100\n1 100\n", "mv"),
+        ("0 0 0 1.0 2.0\n", "0 100\n0 abc\n", "pu"),
+    ], ids=["mv-cell", "pu-cell"])
+    def test_is_data_error_naming_file_and_line(self, tmp_path, capsys, mv_text, pu_text, bad):
+        paths = {"mv": tmp_path / "field.mv", "pu": tmp_path / "pu.txt"}
+        paths["mv"].write_text(mv_text)
+        paths["pu"].write_text(pu_text)
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text("{}")
+        code = run_cli("classify", "--mv-file", paths["mv"], "--pu-file", paths["pu"],
+                       "--policy", policy_path)
+        assert code == 2
+        line = 1 if bad == "mv" else 2
+        assert f"{paths[bad]}:{line}:" in capsys.readouterr().err
+
+
 class TestMalformedPolicy:
     @pytest.mark.parametrize("text, message", [
         ('{"zoom": {"mode": ', "Expecting"),
@@ -460,6 +497,61 @@ class TestMetrics:
         code = run_cli("metrics", "--ref", tmp_path / "none.yuv",
                        "--dist", tmp_path / "none.yuv", "--width", 8, "--height", 8)
         assert code == 2
+
+
+class TestImportBudget:
+    """Only ``classify`` and ``bdrate`` may pay for importing scipy."""
+
+    PROBE = (
+        "import sys\n"
+        "import segenc, segenc.cli as cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+
+    def probe(self, tmp_path, *args):
+        # the child inherits the PYTHONPATH that conftest points at src/
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *map(str, args)],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stdout.splitlines()[-1].split()
+        assert code == "0", proc.stderr
+        return loaded == "True"
+
+    def test_synthetic_optimize_leaves_scipy_unloaded(self, tmp_path):
+        assert not self.probe(
+            tmp_path, "optimize", "--codec", "synthetic", "--frames", 150, "--fps", 50,
+            "--mode", "max_quality", "--max-bitrate-kbps", 9000, "--min-fps", 20,
+        )
+
+    def test_process_optimize_leaves_scipy_unloaded(self, tmp_path, rng):
+        clip = TestProcessPath()
+        clip.write_clip(tmp_path / "clip.yuv", rng)
+        run = f"{sys.executable} -S {lossy_codec.__file__}"
+        config = tmp_path / "project.json"
+        config.write_text(json.dumps({"codecs": {"vp9": {
+            "encode": f"{run} enc {{input}} {{output}} {{qp}}",
+            "decode": f"{run} dec {{input}} {{output}} {{qp}}",
+        }}}))
+        assert not self.probe(
+            tmp_path, "optimize", "--codec", "vp9", "--video", tmp_path / "clip.yuv",
+            "--width", clip.WIDTH, "--height", clip.HEIGHT, "--fps", clip.FPS,
+            "--segment-seconds", clip.FRAMES / clip.FPS, "--config", config,
+            "--mode", "min_bitrate", "--min-quality-db", 30.0, "--min-fps", 0.01,
+        )
+
+    def test_classify_loads_scipy(self, tmp_path, rng):
+        # the guard above must not pass merely because nothing imports scipy
+        mv_path, pu_path = write_mv_pu_files(tmp_path, rng)
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps({
+            label: {"mode": "min_bitrate", "min_quality": 38.0, "min_fps": 25.0}
+            for label in ("tracking", "stationary", "zoom")
+        }))
+        assert self.probe(tmp_path, "classify", "--mv-file", mv_path, "--pu-file", pu_path,
+                          "--policy", policy_path)
 
 
 class TestEntryPoint:
