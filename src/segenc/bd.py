@@ -13,8 +13,8 @@ logs are used; the result is base-independent since any base cancels in
 the exp-of-mean-of-differences.
 
 SROCC (Spearman, average ranks on ties) and PCC (Pearson) cover the
-quality-assessment correlation protocol.  Everything here is numpy; the
-ranks are bit-identical to ``scipy.stats.rankdata``'s average method.
+quality-assessment correlation protocol.  ``srocc`` imports scipy for its
+ranks when called; nothing else here needs more than numpy.
 """
 
 from __future__ import annotations
@@ -140,19 +140,9 @@ def srocc(x: Sequence[float], y: Sequence[float]) -> float:
         raise BdError("need equally sized inputs of length >= 3")
     if np.ptp(xa) == 0.0 or np.ptp(ya) == 0.0:
         raise BdError("undefined correlation for constant input")
-    return pcc(_average_ranks(xa), _average_ranks(ya))
+    from scipy import stats
 
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; each run of tied values gets the mean of its first and last rank.
-
-    Any NaN makes every rank NaN, as ``scipy.stats.rankdata`` does by default.
-    """
-    if np.isnan(values).any():
-        return np.full(values.shape, np.nan)
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    last = np.cumsum(counts)
-    return (0.5 * (last - counts + 1 + last))[inverse]
+    return pcc(stats.rankdata(xa), stats.rankdata(ya))
 
 
 def pcc(x: Sequence[float], y: Sequence[float]) -> float:

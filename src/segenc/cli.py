@@ -44,9 +44,11 @@ def _load_project_config(path: str | None) -> dict:
         cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read project config {path}: {exc}") from exc
-    tolerances = cfg.get("tolerances", {}) if isinstance(cfg, dict) else None
+    if not isinstance(cfg, dict):
+        raise DataError(f"project config {path} is not a JSON object")
+    tolerances = cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
-        raise DataError(f"project config {path} must be a JSON object with a tolerances object")
+        raise DataError(f"project config {path}: tolerances is not an object")
     for name, tol in tolerances.items():
         if not isinstance(tol, (int, float)) or not 0.0 <= tol <= 0.5:
             raise DataError(f"project config {path}: {name}={tol!r} is not within [0, 0.5]")

@@ -500,7 +500,10 @@ class TestMetrics:
 
 
 class TestImportBudget:
-    """Only ``classify`` and ``bdrate`` may pay for importing scipy."""
+    """Only ``classify`` pays for importing scipy, through ``select_bins``.
+
+    ``srocc`` and ``coefficient_p_values`` import it too, but no command calls them.
+    """
 
     PROBE = (
         "import sys\n"
@@ -541,6 +544,12 @@ class TestImportBudget:
             "--segment-seconds", clip.FRAMES / clip.FPS, "--config", config,
             "--mode", "min_bitrate", "--min-quality-db", 30.0, "--min-fps", 0.01,
         )
+
+    def test_bdrate_leaves_scipy_unloaded(self, tmp_path):
+        paths = [tmp_path / "a.rd", tmp_path / "b.rd"]
+        for i, path in enumerate(paths):
+            write_rd_file(path, TestBdrate().rd_rows(f"codec{i}", scale=1.0 + 0.3 * i))
+        assert not self.probe(tmp_path, "bdrate", *paths)
 
     def test_classify_loads_scipy(self, tmp_path, rng):
         # the guard above must not pass merely because nothing imports scipy
