@@ -16,7 +16,7 @@ import numpy as np
 
 from . import activity, bd, controller, encoders, media, pareto
 from .encoders import CodecCommands, EncoderError, ProcessEncoder, SyntheticEncoder
-from .solver import MODES, ConstraintSet, SolverError, make_mode
+from .solver import MODES, TOLERANCES, ConstraintSet, SolverError, make_mode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,8 +50,18 @@ def _load_project_config(path: str | None) -> dict:
     if not isinstance(tolerances, dict):
         raise DataError(f"project config {path}: tolerances is not an object")
     for name, tol in tolerances.items():
+        if name not in TOLERANCES:
+            raise DataError(f"project config {path}: unknown tolerance {name!r}")
         if not isinstance(tol, (int, float)) or not 0.0 <= tol <= 0.5:
             raise DataError(f"project config {path}: {name}={tol!r} is not within [0, 0.5]")
+    codecs = cfg.get("codecs", {})
+    if not isinstance(codecs, dict):
+        raise DataError(f"project config {path}: codecs is not an object")
+    for name, commands in codecs.items():
+        try:
+            codecs[name] = CodecCommands(**commands)
+        except TypeError as exc:  # not an object, or a missing or unknown template
+            raise DataError(f"project config {path}: codec {name!r}: {exc}") from None
     return cfg
 
 
@@ -76,7 +86,7 @@ def _make_encoder(args, cfg: dict, video: media.RawVideo | None):
         raise UsageError("--video is required for real codecs")
     with ProcessEncoder(
         args.codec,
-        CodecCommands(**commands),
+        commands,
         video,
         threads=cfg.get("workers", 1),
     ) as encoder:
@@ -164,7 +174,8 @@ def _flag_front(rows: list[dict]) -> None:
         rec["pareto"] = "1" if on_front else "0"
 
 
-def _constraints_from_args(args) -> ConstraintSet:
+def _constraints_from_args(args, tolerances: dict[str, float]) -> ConstraintSet:
+    """The command line's mode and bounds; a --tolerance-* flag overrides ``tolerances``."""
     bounds: dict = {}
     if args.max_bitrate_kbps is not None:
         bounds["max_bitrate_kbps"] = args.max_bitrate_kbps
@@ -183,7 +194,7 @@ def _constraints_from_args(args) -> ConstraintSet:
         bounds["quality_metric"] = "psnr"
     if args.min_fps is not None:
         bounds["min_fps"] = args.min_fps
-    tolerances = {}
+    tolerances = dict(tolerances)
     if args.tolerance_bitrate is not None:
         tolerances["tol_bitrate"] = args.tolerance_bitrate
     if args.tolerance_quality is not None:
@@ -217,7 +228,7 @@ def _schedule_fn(path: str | None):
 
 def cmd_optimize(args) -> int:
     cfg = _load_project_config(args.config)
-    constraints = _constraints_from_args(args)
+    constraints = _constraints_from_args(args, cfg.get("tolerances", {}))
     video = _load_video(args)
     with _make_encoder(args, cfg, video) as encoder:
         segments = _segments(args, video)

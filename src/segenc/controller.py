@@ -4,7 +4,8 @@ The first segment is swept exhaustively over the codec grid; per-GOP,
 per-filter forward models are fit from its Pareto front.  Every later
 segment costs exactly one real encode: the constrained inverse solve picks
 (GOP, filter flags, QP), the segment is encoded once, the outcome is
-logged, and the chosen group's models are refreshed with the new sample.
+logged, and the chosen group's models keep their bootstrap shape but move
+their log-intercepts toward the measurement, at a constant cost per segment.
 
 GOP/filter selection (the grouping rule): every fitted group solves the
 same constrained problem; the group whose solution achieves the best mode
@@ -16,9 +17,10 @@ additionally kept within +/-4 of the previous segment's QP.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .encoders import Encoder, EncoderError, EncodingConfig, Filters, SegmentMeasurement
 from .media import Segment
@@ -34,6 +36,8 @@ from .solver import (
 )
 
 GroupKey = tuple[str, Filters]  # (gop, filter flags)
+
+INTERCEPT_GAIN = 0.75  # share of each measured log-residual moved into c0
 
 
 class ControllerError(RuntimeError):
@@ -81,6 +85,9 @@ class DecisionRecord:
 
 @dataclass(slots=True)
 class ControllerState:
+    """``models`` are the bootstrap fits, intercept-corrected after encodes;
+    ``samples`` are the samples of the bootstrap fits only."""
+
     constraints: ConstraintSet
     models: dict[GroupKey, dict[str, RdModel]] = field(default_factory=dict)
     samples: dict[GroupKey, dict[str, list[tuple[int, float]]]] = field(default_factory=dict)
@@ -96,23 +103,6 @@ def _objectives_for(measurements: Sequence[SegmentMeasurement]) -> tuple[str, ..
     if all(m.quality_ssim is not None for m in measurements):
         objectives.append("ssim")
     return tuple(objectives)
-
-
-def _fit_group(
-    samples: Mapping[str, list[tuple[int, float]]],
-    gop: str,
-    filters: Filters,
-    fit_order: int | str,
-) -> dict[str, RdModel]:
-    fitted = {}
-    for objective, pairs in samples.items():
-        if fit_order == "auto":
-            fitted[objective] = select_order(pairs, objective=objective, gop=gop, filters=filters)
-        else:
-            fitted[objective] = fit_log_poly(
-                pairs, int(fit_order), objective=objective, gop=gop, filters=filters
-            )
-    return fitted
 
 
 def bootstrap(
@@ -161,8 +151,14 @@ def bootstrap(
         samples = {
             obj: [(m.config.qp, m.objective(obj)) for m in chosen] for obj in objectives
         }
+        gop, filters = key
         try:
-            state.models[key] = _fit_group(samples, key[0], key[1], fit_order)
+            state.models[key] = {
+                obj: select_order(pairs, objective=obj, gop=gop, filters=filters)
+                if fit_order == "auto"
+                else fit_log_poly(pairs, int(fit_order), objective=obj, gop=gop, filters=filters)
+                for obj, pairs in samples.items()
+            }
         except ValueError:
             continue
         state.samples[key] = samples
@@ -249,12 +245,15 @@ def run_segment_loop(
     qp_step_limit: int = 4,
     schedule: Callable[[Segment], ConstraintSet] | None = None,
 ) -> ControllerState:
-    """Bootstrap on segment 0, then predict/encode/refresh per segment.
+    """Bootstrap on segment 0, then predict/encode/correct per segment.
 
-    Each post-bootstrap segment triggers exactly one encode.  Out-of-range
-    estimates are clamped to the grid and to +/-``qp_step_limit`` of the
-    previous segment's QP.  Encoder failures mark the record failed and the
-    loop continues on the prior models.
+    Each post-bootstrap segment triggers exactly one encode, after which the
+    chosen group's log-intercepts move toward the measurement (always, or
+    with ``refit="on_violation"`` only when it misses a bound); ``fit_order``
+    applies to the bootstrap fit alone.  Out-of-range estimates are clamped
+    to the grid and to +/-``qp_step_limit`` of the previous segment's QP.
+    Encoder failures mark the record failed and the loop continues on the
+    prior models.
     """
     if not segments:
         raise ControllerError("no segments to encode")
@@ -321,33 +320,34 @@ def run_segment_loop(
         state.history.append(record)
         prev_qp, prev_gop = qp, gop
 
-        measured_values = {
-            obj: measurement.objective(obj) for obj in state.samples[key]
-        }
+        measured_values = {obj: measurement.objective(obj) for obj in models}
         measured_values["enc_time"] = measurement.enc_time
         measured_ok, _ = check_constraints(measured_values, current)
         if refit == "always" or not measured_ok:
-            _refresh_group(state, key, measurement, fit_order)
+            _refresh_group(state, key, measurement)
     return state
 
 
-def _refresh_group(
-    state: ControllerState,
-    key: GroupKey,
-    measurement: SegmentMeasurement,
-    fit_order: int | str,
-) -> None:
-    samples = state.samples.get(key)
-    if samples is None:
+def _refresh_group(state: ControllerState, key: GroupKey, measurement: SegmentMeasurement) -> None:
+    """c0 += INTERCEPT_GAIN * (ln(measured) - ln(predicted)) at the encoded QP.
+
+    This is lambda-domain rate control's per-encode update (Li et al., IEEE
+    TIP 23(9), 2014).  One point at one QP cannot identify curvature, so
+    c1..c3 stay.  A value without a finite log (say, the infinite rate of a
+    zero-time encode) leaves the group's models as they were.
+    """
+    models = state.models[key]
+    values = {obj: measurement.objective(obj) for obj in models}
+    if not all(0.0 < v < math.inf for v in values.values()):
         return
-    for objective, pairs in samples.items():
-        pairs.append((measurement.config.qp, measurement.objective(objective)))
-    try:
-        state.models[key] = _fit_group(samples, key[0], key[1], fit_order)
-    except ValueError:
-        # keep the previous models when the refreshed fit degenerates
-        for pairs in samples.values():
-            pairs.pop()
+    qp = measurement.config.qp
+    state.models[key] = {
+        obj: replace(model, coefficients=(
+            model.coefficients[0] + INTERCEPT_GAIN * (math.log(values[obj]) - model.log_value(qp)),
+            *model.coefficients[1:],
+        ))
+        for obj, model in models.items()
+    }
 
 
 @dataclass(frozen=True, slots=True)

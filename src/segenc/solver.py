@@ -58,6 +58,7 @@ _BOUND_SPECS = {
     "min_fps": ("enc_rate", "lower", "tol_fps"),
     "max_time_s": ("enc_time", "upper", "tol_fps"),
 }
+TOLERANCES = tuple(dict.fromkeys(spec[2] for spec in _BOUND_SPECS.values()))  # ConstraintSet fields
 
 class SolverError(ValueError):
     pass
@@ -103,7 +104,7 @@ class ConstraintSet:
         return out
 
     def tolerances(self) -> dict[str, float]:
-        return {spec[2]: getattr(self, spec[2]) for spec in _BOUND_SPECS.values()}
+        return {name: getattr(self, name) for name in TOLERANCES}
 
     def without_tolerances(self) -> "ConstraintSet":
         return replace(self, **dict.fromkeys(self.tolerances(), 0.0))

@@ -200,6 +200,67 @@ class TestMalformedProjectConfig:
         assert str(path) in capsys.readouterr().err
 
 
+class TestProjectConfigCodecs:
+    @pytest.mark.parametrize("codecs", [
+        3,
+        {"vp9": 3},
+        {"vp9": {"decode": "cp {input} {output}"}},
+        {"vp9": {"encode": "cp {input} {output}", "transcode": "x"}},
+    ], ids=["not-object", "entry-not-object", "no-encode", "unknown-template"])
+    def test_is_data_error_naming_the_file(self, tmp_path, capsys, codecs):
+        path = tmp_path / "project.json"
+        path.write_text(json.dumps({"codecs": codecs}))
+        clip = tmp_path / "clip.yuv"
+        clip.write_bytes(bytes(6 * 10))  # ten 2x2 frames
+        code = run_cli(
+            "optimize", "--codec", "vp9", "--video", clip, "--width", 2, "--height", 2,
+            "--fps", 5, "--segment-seconds", 1, "--mode", "max_quality",
+            "--max-bitrate-kbps", 9000, "--min-fps", 20, "--config", path,
+        )
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+
+
+class TestProjectConfigTolerances:
+    def run_optimize(self, tmp_path, monkeypatch, tolerances, *flags):
+        seen = []
+        real = cli.controller.run_segment_loop
+
+        def spy(encoder, segments, constraints, **kwargs):
+            seen.append(constraints)
+            return real(encoder, segments, constraints, **kwargs)
+
+        monkeypatch.setattr(cli.controller, "run_segment_loop", spy)
+        path = tmp_path / "project.json"
+        path.write_text(json.dumps({"tolerances": tolerances}))
+        code = run_cli(
+            "optimize", "--codec", "synthetic", "--frames", 300, "--fps", 50,
+            "--mode", "max_quality", "--max-bitrate-kbps", 9000, "--min-fps", 20,
+            "--config", path, *flags,
+        )
+        return code, seen
+
+    def test_config_tolerance_reaches_optimize(self, tmp_path, monkeypatch):
+        code, seen = self.run_optimize(tmp_path, monkeypatch, {"tol_bitrate": 0.2, "tol_fps": 0.3})
+        assert code == 0
+        assert seen[0].tolerances() == {"tol_bitrate": 0.2, "tol_quality": 0.05, "tol_fps": 0.3}
+
+    def test_flag_overrides_config(self, tmp_path, monkeypatch):
+        code, seen = self.run_optimize(
+            tmp_path, monkeypatch, {"tol_bitrate": 0.2, "tol_quality": 0.3},
+            "--tolerance-bitrate", 0.01,
+        )
+        assert code == 0
+        assert seen[0].tolerances() == {"tol_bitrate": 0.01, "tol_quality": 0.3, "tol_fps": 0.1}
+
+    def test_unknown_tolerance_is_data_error_naming_the_file(self, tmp_path, monkeypatch, capsys):
+        code, seen = self.run_optimize(tmp_path, monkeypatch, {"tol_speed": 0.1})
+        assert code == 2
+        assert not seen
+        err = capsys.readouterr().err
+        assert str(tmp_path / "project.json") in err and "tol_speed" in err
+
+
 class TestMalformedSchedule:
     @pytest.mark.parametrize("text, message", [
         ('{"regions": [', "Expecting"),

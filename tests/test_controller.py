@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+from segenc import controller
 from segenc.coefficients import REFERENCE_MODEL_SETS
 from segenc.controller import (
     ControllerError,
+    _refresh_group,
     bootstrap,
     choose_gop_model,
     run_segment_loop,
@@ -13,7 +16,7 @@ from segenc.controller import (
 )
 from segenc.encoders import EncoderError, SyntheticEncoder, SyntheticLaw, default_law
 from segenc.media import make_segments
-from segenc.models import predict
+from segenc.models import fit_log_poly, predict
 from segenc.solver import ConstraintSet, make_mode
 
 B6 = REFERENCE_MODEL_SETS[("x265", "B6", "max_quality")]
@@ -259,3 +262,103 @@ class TestSummary:
         records = [json.loads(line) for line in lines[1:]]
         assert [r["segment"] for r in records] == [0, 1, 2, 3]
         assert all(r["qp"] == 28 for r in records)
+
+
+def stepped_law(law, factor):
+    """``law`` with every GOP's bitrate multiplied by ``factor`` at every QP."""
+    coefficients = {}
+    for gop, objectives in law.coefficients.items():
+        a, b1, b2 = objectives["bits"]
+        coefficients[gop] = {**objectives, "bits": (a + math.log(factor), b1, b2)}
+    return SyntheticLaw(coefficients, law.filter_offsets, law.qps, law.qp_bounds)
+
+
+class SteppedEncoder(SyntheticEncoder):
+    """Default law up to segment ``step_at``; bitrate times ``factor`` from there on."""
+
+    def __init__(self, step_at, factor):
+        super().__init__()
+        self.before, self.after = self.law, stepped_law(self.law, factor)
+        self.step_at = step_at
+
+    def encode(self, config, segment):
+        self.law = self.after if segment.index >= self.step_at else self.before
+        return super().encode(config, segment)
+
+
+def misses_band(measured, cs):
+    return (measured.bitrate > cs.max_bitrate_kbps * (1 + cs.tol_bitrate)
+            or measured.enc_rate < cs.min_fps * (1 - cs.tol_fps))
+
+
+def segments(count):
+    return make_segments(count * 150, 50, 3.0)
+
+
+class TestOnlineCorrection:
+    def test_follows_a_bitrate_step(self):
+        # content half again as expensive from segment 100 on
+        state = run_segment_loop(SteppedEncoder(100, 1.5), segments(200), MAXQ)
+        post = [r for r in state.history if r.segment_index >= 100]
+        missed = [r for r in post if r.measured is None or misses_band(r.measured, MAXQ)]
+        assert len(post) == 100
+        assert len(missed) <= 0.05 * len(post)
+
+    def test_samples_do_not_grow_with_the_stream(self):
+        short = run_segment_loop(SyntheticEncoder(), segments(200), MAXQ)
+        long = run_segment_loop(SyntheticEncoder(), segments(600), MAXQ)
+        assert long.samples == short.samples
+
+    def test_no_fit_after_bootstrap(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fit_log_poly(*args, **kwargs)
+
+        monkeypatch.setattr(controller, "fit_log_poly", counting)
+        bootstrap(SyntheticEncoder(), segments_500()[0], MAXQ)
+        at_bootstrap = len(calls)
+        run_segment_loop(SyntheticEncoder(), segments(50), MAXQ)
+        assert at_bootstrap > 0
+        assert len(calls) == 2 * at_bootstrap
+
+    def test_on_violation_keeps_models_of_a_segment_that_meets_its_bounds(self):
+        # 5 % cheaper content after segment 0: every segment meets its bounds,
+        # yet every measurement is off the bootstrap fit
+        boot = bootstrap(SyntheticEncoder(), segments_500()[0], MAXQ).models
+        gated = run_segment_loop(
+            SteppedEncoder(1, 0.95), segments_500(), MAXQ, refit="on_violation"
+        )
+        assert not any(misses_band(r.measured, MAXQ) for r in gated.history)
+        assert gated.models == boot
+        always = run_segment_loop(SteppedEncoder(1, 0.95), segments_500(), MAXQ)
+        assert always.models != boot
+
+    def test_update_moves_only_the_intercept(self):
+        state = bootstrap(SyntheticEncoder(), segments_500()[0], MAXQ)
+        measured = state.history[0].measured
+        key = (measured.config.gop, measured.config.filters)
+        before = state.models[key]
+        _refresh_group(state, key, replace(measured, bitrate=measured.bitrate * 1.5))
+        for objective, model in state.models[key].items():
+            old = before[objective]
+            shift = controller.INTERCEPT_GAIN * math.log(1.5) if objective == "bits" else 0.0
+            assert model.coefficients[0] == pytest.approx(old.coefficients[0] + shift, abs=1e-6)
+            assert replace(model, coefficients=old.coefficients) == old
+
+    @pytest.mark.parametrize("changes", [
+        {"enc_rate": math.inf},
+        {"quality_psnr": math.inf},
+        {"quality_psnr": 0.0},
+        {"quality_psnr": -1.0},
+        {"quality_psnr": math.nan},
+    ], ids=["infinite-rate", "lossless-psnr", "zero-psnr", "negative-psnr", "nan-psnr"])
+    def test_value_without_finite_log_keeps_the_group(self, changes):
+        state = bootstrap(SyntheticEncoder(), segments_500()[0], MAXQ)
+        measured = state.history[0].measured
+        key = (measured.config.gop, measured.config.filters)
+        before = dict(state.models[key])
+        # the bitrate alone would move the bits model
+        _refresh_group(state, key, replace(measured, bitrate=measured.bitrate * 1.5, **changes))
+        assert state.models[key] == before
