@@ -62,6 +62,10 @@ def _load_project_config(path: str | None) -> dict:
             codecs[name] = CodecCommands(**commands)
         except TypeError as exc:  # not an object, or a missing or unknown template
             raise DataError(f"project config {path}: codec {name!r}: {exc}") from None
+    workers = cfg.get("workers", 1)
+    # bool is an int subclass; neither true nor false is a thread count
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise DataError(f"project config {path}: workers={workers!r} is not a positive integer")
     return cfg
 
 
@@ -112,7 +116,9 @@ def _add_video_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--segment-seconds", type=float, default=3.0)
     p.add_argument("--codec", default="synthetic")
     p.add_argument("--config", help="project config JSON with command templates")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel encodes for sweep; optimize's bootstrap encodes "
+                        "one configuration at a time and ignores it")
 
 
 def cmd_sweep(args) -> int:

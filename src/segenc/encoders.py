@@ -8,7 +8,8 @@ black boxes through shell command templates with ``{input}``, ``{output}``,
 ``{sao}`` or ``{restoration}`` per filter flag; the VMAF template has
 ``{reference}``, ``{distorted}`` and ``{log}`` instead of input and output.
 Bitrate comes from the output payload size and encoding rate from the
-encoder's wall-clock time.
+encoder's wall-clock time.  An encode maps only its own segment of the source
+file and drops it when measured, so memory follows one segment, not the clip.
 
 The synthetic encoder evaluates a known ground-truth law
 
@@ -337,9 +338,13 @@ class ProcessEncoder:
     Encoding rate is frames over the encoder process's wall-clock seconds
     only; bitrate is 8 * payload bytes / segment duration.  Quality needs a
     decode template (external decoders produce raw YUV which is compared
-    with the source).  Each encode works in its own temporary directory
-    under the workdir, removed once the encode is measured; ``close`` (or
-    leaving a ``with`` block) removes a workdir the encoder created itself.
+    with the source).  Each encode reads its segment through
+    :meth:`RawVideo.frames_slice`, which maps only that segment of a source
+    file, and releases it on return: however long the clip, only the
+    segments being encoded are resident.  Each encode works in its own
+    temporary directory under the workdir, removed once the encode is
+    measured; ``close`` (or leaving a ``with`` block) removes a workdir the
+    encoder created itself.
     """
 
     def __init__(

@@ -3,7 +3,9 @@
 Video is planar YUV 4:2:0, 8-bit, headerless; dimensions and frame rate are
 supplied externally.  A video is split into fixed-duration segments (default
 3 seconds) which are the unit everything downstream operates on.  A file is
-mapped read-only, so frames are read from disk as they are used.
+mapped read-only, and each slice of its frames maps those frames on its own:
+only the slice in use is resident, so memory follows one segment, not the
+clip.
 
 Quality metrics:
 
@@ -14,19 +16,22 @@ Quality metrics:
 * VMAF is never computed here -- it is ingested from an external scorer's
   log (JSON or key=value text) via :func:`parse_vmaf_log`.
 
-PSNR and SSIM stream the video frame by frame, in bands of a few rows, so
-their memory grows with one frame at most, not with the segment.  Both sum
-integers exactly: PSNR the squared error of each plane, SSIM the five sums
-of each 8x8 window.  Only the per-window statistics are floating point.
+PSNR and SSIM take the video one frame slice at a time, in bands of a few
+rows, so their memory grows with one frame at most, not with the segment.
+Both sum integers exactly: PSNR the squared error of each plane, SSIM the
+five sums of each 8x8 window.  Only the per-window statistics are floating
+point.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -93,7 +98,13 @@ class RawVideo:
 
     @classmethod
     def from_file(cls, path: str | Path, width: int, height: int, fps: int) -> "RawVideo":
-        """Map a raw file read-only; no frame is read until it is used."""
+        """Map a raw file read-only; no frame is read until it is used.
+
+        A slice of the video maps its own frames (:meth:`frames_slice`), so
+        a caller that reads through slices never has the whole file resident.
+        Slices map the file by its path, so it must stay in place, unchanged,
+        while the video is in use.
+        """
         size = Path(path).stat().st_size
         frame_size = width * height * 3 // 2
         if size == 0:
@@ -110,10 +121,41 @@ class RawVideo:
         self.data.tofile(str(path))
 
     def frames_slice(self, start: int, stop: int) -> "RawVideo":
-        """Sub-video covering frames [start, stop)."""
+        """Sub-video covering frames [start, stop).
+
+        A video mapped from a file gives a slice with its own read-only map of
+        just those frames, unmapped when the slice is dropped: whoever holds
+        one slice at a time holds one slice's frames in memory, however long
+        the file.  Any other video gives a view of its array.
+        """
         if not (0 <= start < stop <= self.frame_count):
             raise MediaError("frame range out of bounds")
-        return RawVideo(self.width, self.height, self.fps, self.data[start:stop])
+        if (start, stop) == (0, self.frame_count):
+            return self  # already mapped: a second map would fault the frames in again
+        data = self.data
+        # only the array a map made knows where it starts in the file: a
+        # numpy slice of it keeps the offset of the map it was cut from; and
+        # only a read-only map is sure to hold what the file holds
+        if (isinstance(data, np.memmap) and isinstance(data.base, mmap.mmap)
+                and data.filename and data.mode == "r" and data.flags.c_contiguous):
+            try:
+                data = np.memmap(
+                    data.filename, dtype=np.uint8, mode="r",
+                    offset=data.offset + start * self.frame_size,
+                    shape=(stop - start, self.frame_size),
+                )
+            except (OSError, ValueError) as exc:  # the file was removed or cut since
+                raise MediaError(
+                    f"cannot map frames {start}-{stop} of {data.filename}: {exc}"
+                ) from exc
+        else:
+            data = data[start:stop]
+        return RawVideo(self.width, self.height, self.fps, data)
+
+    def frames(self) -> Iterator["RawVideo"]:
+        """The video one frame at a time, each a one-frame :meth:`frames_slice`."""
+        for i in range(self.frame_count):
+            yield self.frames_slice(i, i + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,20 +223,23 @@ def _check_match(ref: RawVideo, dist: RawVideo) -> None:
         raise MediaError("frame count mismatch between reference and distorted video")
 
 
-def _plane_psnr(ref_planes: np.ndarray, dist_planes: np.ndarray) -> float:
-    """PSNR of one plane with the squared error pooled over all frames."""
+def _plane_sse(ref_plane: np.ndarray, dist_plane: np.ndarray) -> int:
+    """Squared error summed over one plane, exactly."""
     sse = 0
     rows = _BLOCK_ROWS
-    for a, b in zip(ref_planes, dist_planes):
-        for r in range(0, a.shape[0], rows):
-            x, y = a[r : r + rows], b[r : r + rows]
-            # |x - y| fits uint8 and its square, at most 255^2, fits uint16;
-            # the sum is exact in uint64
-            diff = (np.maximum(x, y) - np.minimum(x, y)).astype(np.uint16)
-            sse += int((diff * diff).sum(dtype=np.uint64))
+    for r in range(0, ref_plane.shape[0], rows):
+        x, y = ref_plane[r : r + rows], dist_plane[r : r + rows]
+        # |x - y| fits uint8 and its square, at most 255^2, fits uint16;
+        # the sum is exact in uint64
+        diff = (np.maximum(x, y) - np.minimum(x, y)).astype(np.uint16)
+        sse += int((diff * diff).sum(dtype=np.uint64))
+    return sse
+
+
+def _psnr(sse: int, samples: int) -> float:
     if sse == 0:
         return PSNR_CAP_DB
-    mse = sse / ref_planes.size
+    mse = sse / samples
     return float(10.0 * math.log10(255.0 * 255.0 / mse))
 
 
@@ -205,9 +250,12 @@ def psnr_global(ref: RawVideo, dist: RawVideo) -> QualityScores:
     downstream regression stays finite.
     """
     _check_match(ref, dist)
-    y = _plane_psnr(ref.luma(), dist.luma())
-    u = _plane_psnr(ref.chroma_u(), dist.chroma_u())
-    v = _plane_psnr(ref.chroma_v(), dist.chroma_v())
+    sse = [0, 0, 0]
+    for a, b in zip(ref.frames(), dist.frames()):
+        for k, plane in enumerate((RawVideo.luma, RawVideo.chroma_u, RawVideo.chroma_v)):
+            sse[k] += _plane_sse(plane(a)[0], plane(b)[0])
+    luma = ref.width * ref.height * ref.frame_count
+    y, u, v = _psnr(sse[0], luma), _psnr(sse[1], luma // 4), _psnr(sse[2], luma // 4)
     return QualityScores(psnr_y=y, psnr_u=u, psnr_v=v, psnr611=psnr611(y, u, v))
 
 
@@ -259,12 +307,10 @@ def _band_ssim_windows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def ssim_mean(ref: RawVideo, dist: RawVideo) -> float:
     """Mean luma SSIM over all frames, non-overlapping 8x8 windows."""
     _check_match(ref, dist)
-    ry = ref.luma()
-    dy = dist.luma()
     total = 0.0
     count = 0
-    for i in range(ref.frame_count):
-        win = _frame_ssim_windows(ry[i], dy[i])
+    for a, b in zip(ref.frames(), dist.frames()):
+        win = _frame_ssim_windows(a.luma()[0], b.luma()[0])
         total += float(win.sum())
         count += win.size
     return total / count

@@ -7,7 +7,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from segenc import cli
+from segenc import cli, media
 from segenc.cli import main
 from segenc.bd import write_rd_file
 from segenc.encoders import (
@@ -17,11 +17,12 @@ from segenc.encoders import (
     sweep_row_key,
     write_sweep_table,
 )
-from segenc.media import make_segments
+from segenc.media import RawVideo, make_segments
 from segenc.pareto import ObjectivePoint, front_flags
 
 import lossy_codec
 import refmetrics
+from smaps import PAGE, mapped_rss, needs_smaps
 from refdata import RD_POINTS_LOW_DELAY
 
 
@@ -259,6 +260,33 @@ class TestProjectConfigTolerances:
         assert not seen
         err = capsys.readouterr().err
         assert str(tmp_path / "project.json") in err and "tol_speed" in err
+
+
+class TestProjectConfigWorkers:
+    def write_config(self, tmp_path, workers):
+        path = tmp_path / "project.json"
+        path.write_text(json.dumps({"workers": workers, "codecs": {"vp9": {"encode": "true"}}}))
+        return path
+
+    @pytest.mark.parametrize("workers", ["x", -2, 0, 1.5, True, None],
+                             ids=["string", "negative", "zero", "float", "bool", "null"])
+    def test_is_data_error_naming_the_file(self, tmp_path, capsys, workers):
+        path = self.write_config(tmp_path, workers)
+        code = run_cli(
+            "optimize", "--codec", "synthetic", "--frames", 100, "--fps", 50,
+            "--mode", "max_quality", "--max-bitrate-kbps", 9000, "--min-fps", 20,
+            "--config", path,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "workers" in err
+
+    def test_positive_int_reaches_the_encoder(self, tmp_path):
+        cfg = cli._load_project_config(str(self.write_config(tmp_path, 3)))
+        args = cli.build_parser().parse_args(["sweep", "--codec", "vp9", "--out", "x"])
+        video = RawVideo(2, 2, 5, np.zeros((1, 6), dtype=np.uint8))
+        with cli._make_encoder(args, cfg, video) as encoder:
+            assert encoder.threads == 3
 
 
 class TestMalformedSchedule:
@@ -553,6 +581,28 @@ class TestMetrics:
         assert 30.0 < report["psnr_y"] < 100.0
         expected = (6 * report["psnr_y"] + report["psnr_u"] + report["psnr_v"]) / 8
         assert report["psnr611"] == pytest.approx(expected)
+
+    @needs_smaps
+    def test_holds_one_frame_of_each_file(self, tmp_path, rng, monkeypatch, capsys):
+        width = height = 64
+        frames = 24
+        frame_bytes = width * height * 3 // 2
+        paths = [tmp_path / "ref.yuv", tmp_path / "dist.yuv"]
+        for path in paths:
+            rng.integers(0, 256, (frames, frame_bytes), dtype=np.uint8).tofile(path)
+        resident = []
+        real = media._frame_ssim_windows
+
+        def spy(x, y):  # one call per frame, after the PSNR pass over both files
+            resident.append(max(mapped_rss(path) for path in paths))
+            return real(x, y)
+
+        monkeypatch.setattr(media, "_frame_ssim_windows", spy)
+        code = run_cli("metrics", "--ref", paths[0], "--dist", paths[1],
+                       "--width", width, "--height", height, "--json")
+        assert code == 0
+        assert len(resident) == frames
+        assert max(resident) <= frame_bytes + 2 * PAGE
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code = run_cli("metrics", "--ref", tmp_path / "none.yuv",

@@ -27,6 +27,9 @@ from segenc.encoders import (
 )
 from segenc.media import RawVideo, make_segments
 
+import lossy_codec
+from smaps import PAGE, mapped_rss, needs_smaps
+
 B6 = REFERENCE_MODEL_SETS[("x265", "B6", "max_quality")]
 
 
@@ -276,6 +279,37 @@ PRESET_LOGGING_CODEC = textwrap.dedent(
     shutil.copyfile(src, dst)
     """
 )
+
+
+@needs_smaps
+def test_only_the_segment_being_encoded_is_resident(rng, tmp_path, monkeypatch):
+    width = height = 64
+    fps, frames = 4, 24
+    path = tmp_path / "clip.yuv"
+    rng.integers(0, 256, (frames, width * height * 3 // 2), dtype=np.uint8).tofile(path)
+    video = RawVideo.from_file(path, width, height, fps)
+    segments = make_segments(frames, fps, 1.0)
+    segment_bytes = fps * video.frame_size
+    resident = []
+    real = encoders.media.psnr_global
+
+    def spy(ref, dist):  # the encode holds its segment here, written out and decoded
+        resident.append(mapped_rss(path))
+        return real(ref, dist)
+
+    monkeypatch.setattr(encoders.media, "psnr_global", spy)
+    run = f"{sys.executable} -S {lossy_codec.__file__}"
+    commands = CodecCommands(
+        encode=f"{run} enc {{input}} {{output}} {{qp}}",
+        decode=f"{run} dec {{input}} {{output}} {{qp}}",
+    )
+    with ProcessEncoder("vp9", commands, video, workdir=tmp_path / "w") as enc:
+        config = enc.configs()[0]
+        for segment in segments:
+            enc.encode(config, segment)
+    assert len(resident) == len(segments)
+    assert max(resident) <= segment_bytes + 2 * PAGE
+    assert mapped_rss(path) <= segment_bytes
 
 
 class TestPlaceholders:

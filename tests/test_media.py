@@ -290,6 +290,45 @@ class TestFromFile:
         assert not back.data.flags.writeable
         assert back.frame_count == 4
 
+    def test_slices_read_the_frames_a_copy_holds(self, rng, tmp_path):
+        video = random_video(rng, n_frames=7)
+        path = tmp_path / "clip.yuv"
+        video.to_file(path)
+        mapped = RawVideo.from_file(path, 8, 8, 50)
+        copy = video.data
+        cases = [
+            (mapped.frames_slice(1, 4), copy[1:4]),
+            (mapped.frames_slice(2, 6).frames_slice(1, 3), copy[3:5]),
+            # a numpy slice of a map keeps the offset of the map it was cut from
+            (RawVideo(8, 8, 50, mapped.data[2:6]).frames_slice(1, 3), copy[3:5]),
+            (mapped.frames_slice(0, 7), copy),
+            (mapped.frames_slice(6, 7), copy[6:]),
+        ]
+        for got, want in cases:
+            np.testing.assert_array_equal(got.data, want)
+            assert not got.data.flags.writeable
+
+    def test_slice_of_a_cut_or_removed_file_is_a_media_error(self, rng, tmp_path):
+        path = tmp_path / "clip.yuv"
+        random_video(rng, n_frames=4).to_file(path)
+        mapped = RawVideo.from_file(path, 8, 8, 50)
+        path.write_bytes(bytes(96))  # one frame left
+        with pytest.raises(MediaError, match="clip.yuv"):
+            mapped.frames_slice(2, 4)
+        path.unlink()
+        with pytest.raises(MediaError, match="clip.yuv"):
+            mapped.frames_slice(2, 4)
+
+    def test_metrics_of_mapped_files_equal_those_of_copies(self, tmp_path):
+        ref, dist = clip_pair(26, 18, 5, "noisy", 3)
+        paths = tmp_path / "ref.yuv", tmp_path / "dist.yuv"
+        ref.tofile(paths[0])
+        dist.tofile(paths[1])
+        mapped = [RawVideo.from_file(p, 26, 18, 25) for p in paths]
+        copies = RawVideo(26, 18, 25, ref), RawVideo(26, 18, 25, dist)
+        assert psnr_global(*mapped) == psnr_global(*copies)
+        assert ssim_mean(*mapped) == ssim_mean(*copies)
+
     def test_partial_frame_rejected(self, tmp_path):
         path = tmp_path / "clip.yuv"
         path.write_bytes(bytes(96 + 5))
