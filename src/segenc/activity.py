@@ -16,14 +16,15 @@ not load scipy.
 
 from __future__ import annotations
 
-import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import records
 from .solver import ConstraintSet
 
 HIST_BINS = 25
@@ -214,50 +215,36 @@ def apply_policy(label: str, policy: ActivityPolicy) -> ConstraintSet:
 # file interfaces: MV field files, PU series files, policy files
 
 
+def _mv_record(frame: str, _block_x: str, _block_y: str, dx: str, dy: str):
+    return int(frame), (float(dx), float(dy))
+
+
 def read_mv_field(path: str | Path) -> dict[int, list[tuple[float, float]]]:
     """Line-delimited ``frame block_x block_y dx dy`` records, per frame."""
-    frames: dict[int, list[tuple[float, float]]] = {}
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 5:
-            raise ActivityError(f"{path}:{number}: bad MV record: {line!r}")
-        try:
-            frames.setdefault(int(parts[0]), []).append((float(parts[3]), float(parts[4])))
-        except ValueError as exc:
-            raise ActivityError(f"{path}:{number}: {exc}") from None
+    frames: dict[int, list[tuple[float, float]]] = defaultdict(list)
+    for frame, mv in records.read_rows(path, ActivityError, "an MV record", 5, _mv_record):
+        frames[frame].append(mv)
     if not frames:
-        raise ActivityError("empty MV field file")
-    return frames
+        raise ActivityError(f"{path}: empty MV field file")
+    return dict(frames)
 
 
 def read_pu_series(path: str | Path) -> list[float]:
     """Line-delimited ``frame pu_count`` records, ordered by frame."""
-    records: dict[int, float] = {}
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise ActivityError(f"{path}:{number}: bad PU record: {line!r}")
-        try:
-            records[int(parts[0])] = float(parts[1])
-        except ValueError as exc:
-            raise ActivityError(f"{path}:{number}: {exc}") from None
-    if not records:
-        raise ActivityError("empty PU series file")
-    return [records[f] for f in sorted(records)]
+    counts = dict(records.read_rows(
+        path, ActivityError, "a PU record", 2, lambda frame, count: (int(frame), float(count))
+    ))
+    if not counts:
+        raise ActivityError(f"{path}: empty PU series file")
+    return [counts[f] for f in sorted(counts)]
 
 
 def read_policy(path: str | Path) -> dict[str, ConstraintSet]:
     """JSON mapping of activity label to mode, bounds, and tolerances."""
+    raw = records.load_json(path, ActivityError)
     try:
-        raw = json.loads(Path(path).read_text())
         return {label: ConstraintSet(**spec) for label, spec in raw.items()}
-    except (json.JSONDecodeError, AttributeError, TypeError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:  # SolverError is a ValueError
         raise ActivityError(f"bad policy file {path}: {exc}") from None
 
 

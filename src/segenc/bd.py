@@ -26,6 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import records
+
 MIN_CURVE_POINTS = 4
 
 
@@ -133,16 +135,15 @@ def format_bd_matrix(curves: Sequence[RdCurve], matrix: list[list[float | None]]
 
 
 def srocc(x: Sequence[float], y: Sequence[float]) -> float:
-    """Spearman rank-order correlation; ties take average ranks."""
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.size != ya.size or xa.size < 3:
-        raise BdError("need equally sized inputs of length >= 3")
-    if np.ptp(xa) == 0.0 or np.ptp(ya) == 0.0:
-        raise BdError("undefined correlation for constant input")
+    """Spearman rank-order correlation; ties take average ranks.
+
+    Ranks keep the size of their input, and only a constant input has
+    constant ranks, so ``pcc`` rejects what Spearman cannot rank.
+    """
     from scipy import stats
 
-    return pcc(stats.rankdata(xa), stats.rankdata(ya))
+    return pcc(stats.rankdata(np.asarray(x, dtype=np.float64)),
+               stats.rankdata(np.asarray(y, dtype=np.float64)))
 
 
 def pcc(x: Sequence[float], y: Sequence[float]) -> float:
@@ -170,26 +171,21 @@ def write_rd_file(path: str | Path, rows: Sequence[dict]) -> None:
             fh.write("\t".join("-" if row[c] is None else str(row[c]) for c in RD_COLUMNS) + "\n")
 
 
+def _rd_record(codec: str, qp: str, bitrate_kbps: str, psnr611: str, vmaf: str) -> dict:
+    return {
+        "codec": codec,
+        "qp": int(records.finite(qp)),
+        "bitrate_kbps": records.finite(bitrate_kbps),
+        "psnr611": records.optional(records.finite, psnr611),
+        "vmaf": records.optional(records.finite, vmaf),
+    }
+
+
 def read_rd_file(path: str | Path) -> dict[str, list[dict]]:
-    """RD-point records grouped by codec label; a ``-`` quality cell reads as None."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("#segenc-rd"):
-        raise BdError(f"{path} is not an RD-point file")
+    """RD points grouped by codec; a ``-`` quality cell reads as None, NaN or inf fails."""
     by_codec: dict[str, list[dict]] = {}
-    for number, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(RD_COLUMNS):
-            raise BdError(f"{path}:{number}: {len(parts)} cells, an RD row has {len(RD_COLUMNS)}")
-        rec = dict(zip(RD_COLUMNS, parts))
-        try:
-            rec["qp"] = int(float(rec["qp"]))
-            rec["bitrate_kbps"] = float(rec["bitrate_kbps"])
-            for key in ("psnr611", "vmaf"):
-                rec[key] = None if rec[key] == "-" else float(rec[key])
-        except ValueError as exc:
-            raise BdError(f"{path}:{number}: {exc}") from None
+    for rec in records.read_rows(path, BdError, "an RD row", len(RD_COLUMNS), _rd_record,
+                                 marker=("#segenc-rd", "an RD-point file")):
         by_codec.setdefault(rec["codec"], []).append(rec)
     if not by_codec:
         raise BdError(f"{path} holds no RD points")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import activity, bd, controller, encoders, media, pareto
+from . import activity, bd, controller, encoders, media, pareto, records
 from .encoders import CodecCommands, EncoderError, ProcessEncoder, SyntheticEncoder
 from .solver import MODES, TOLERANCES, ConstraintSet, SolverError, make_mode
 
@@ -38,12 +38,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_project_config(path: str | None) -> dict:
+    """The project config, a JSON object; every key is optional, others are ignored.
+
+    - ``codecs``: codec name -> ``encode``, ``decode`` and ``vmaf`` command
+      templates (:class:`CodecCommands`);
+    - ``tolerances``: ``tol_bitrate``, ``tol_quality``, ``tol_fps`` in [0, 0.5],
+      each overridden by its ``optimize --tolerance-*`` flag;
+    - ``workers``: threads inside one encoder, the ``{threads}`` placeholder
+      (default 1); not ``--workers``, the encodes ``sweep`` runs at once.
+    """
     if path is None:
         return {}
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read project config {path}: {exc}") from exc
+    cfg = records.load_json(path, DataError)
     if not isinstance(cfg, dict):
         raise DataError(f"project config {path} is not a JSON object")
     tolerances = cfg.get("tolerances", {})
@@ -137,10 +143,15 @@ def _sweep(args, encoder, segments: list[media.Segment]) -> int:
     flags recomputed over all of its rows, those already there and the new.
     """
     if args.segment is not None:
+        if not 0 <= args.segment < len(segments):
+            raise UsageError(f"--segment {args.segment} is not in 0..{len(segments) - 1}")
         segments = [segments[args.segment]]
 
     out = Path(args.out)
-    rows = encoders.read_sweep_table(out) if out.exists() else []
+    try:  # a table we cannot resume from is bad input, not an encoder failure
+        rows = encoders.read_sweep_table(out) if out.exists() else []
+    except EncoderError as exc:
+        raise DataError(str(exc)) from None
     done = {encoders.sweep_row_key(rec) for rec in rows}
 
     failures = 0
@@ -214,13 +225,14 @@ def _constraints_from_args(args, tolerances: dict[str, float]) -> ConstraintSet:
 def _schedule_fn(path: str | None):
     if path is None:
         return None
+    raw = records.load_json(path, DataError)
     try:
         regions = [
             (int(r["start_frame"]), int(r["end_frame"]), ConstraintSet(**r["constraints"]))
-            for r in json.loads(Path(path).read_text())["regions"]
+            for r in raw["regions"]
         ]
         last = regions[-1][2]
-    except (LookupError, TypeError, ValueError) as exc:  # bad JSON, a missing key or value
+    except (LookupError, TypeError, ValueError) as exc:  # a missing key or a bad value
         raise DataError(f"bad constraint schedule {path}: {exc!r}") from None
 
     def lookup(segment: media.Segment) -> ConstraintSet:
@@ -261,14 +273,12 @@ def cmd_classify(args) -> int:
     pu_series = activity.read_pu_series(args.pu_file)
     policy = activity.read_policy(args.policy)
 
-    boundaries = activity.detect_activity_change(
-        pu_series, args.pu_threshold, window=args.pu_window
-    )
-    edges = [0] + boundaries + [len(pu_series)]
-    rng = np.random.default_rng(0)
-    training = activity.synthetic_training(rng)
+    cuts = activity.detect_activity_change(pu_series, args.pu_threshold, window=args.pu_window)
+    edges = [0, *cuts, len(pu_series)]
     if args.training:
         training = _read_training_dir(args.training)
+    else:
+        training = activity.synthetic_training(np.random.default_rng(0))
     # the training set is fixed, so each pair's bins are selected once
     bin_cache = {pair: activity.select_bins(training, pair) for pair in activity.PAIRS}
 
@@ -281,14 +291,8 @@ def cmd_classify(args) -> int:
         features = activity.extract_mv_features(vectors, pu_mean)
         label = activity.classify(features, training, k=args.k, bin_cache=bin_cache)
         constraints = activity.apply_policy(label, policy)
-        regions.append(
-            {
-                "start_frame": start,
-                "end_frame": end,
-                "label": label,
-                "constraints": _constraint_dict(constraints),
-            }
-        )
+        regions.append({"start_frame": start, "end_frame": end, "label": label,
+                        "constraints": _constraint_dict(constraints)})
         print(f"frames [{start}, {end}): {label}")
     out = {"version": 1, "regions": regions}
     if args.out:
@@ -335,7 +339,7 @@ def cmd_metrics(args) -> int:
     ssim = media.ssim_mean(ref, dist)
     vmaf = None
     if args.vmaf_log:
-        vmaf = media.parse_vmaf_log(Path(args.vmaf_log).read_text()).mean
+        vmaf = media.parse_vmaf_log(records.read_text(args.vmaf_log, DataError)).mean
     report = {
         "psnr_y": scores.psnr_y,
         "psnr_u": scores.psnr_u,

@@ -66,15 +66,7 @@ class DecisionRecord:
             "qp": c.qp,
             "filters": dict(c.filters),
             "predicted": self.predicted,
-            "measured": None
-            if self.measured is None
-            else {
-                "bitrate_kbps": self.measured.bitrate,
-                "psnr_db": self.measured.quality_psnr,
-                "vmaf": self.measured.quality_vmaf,
-                "fps": self.measured.enc_rate,
-                "enc_time_s": self.measured.enc_time,
-            },
+            "measured": None if self.measured is None else self.measured.numbers(),
             "satisfied": self.satisfied,
             "violations": self.violations,
             "gop_switched": self.gop_switched,
@@ -103,6 +95,13 @@ def _objectives_for(measurements: Sequence[SegmentMeasurement]) -> tuple[str, ..
     if all(m.quality_ssim is not None for m in measurements):
         objectives.append("ssim")
     return tuple(objectives)
+
+
+def _by_group(measured: Iterable[SegmentMeasurement]) -> dict[GroupKey, list[SegmentMeasurement]]:
+    groups: dict[GroupKey, list[SegmentMeasurement]] = {}
+    for m in measured:
+        groups.setdefault((m.config.gop, m.config.filters), []).append(m)
+    return groups
 
 
 def bootstrap(
@@ -135,12 +134,8 @@ def bootstrap(
     ]
     front = pareto_front(points, cost_kind="rate")
 
-    by_group_front: dict[GroupKey, list[SegmentMeasurement]] = {}
-    for m, _ in front.entries:
-        by_group_front.setdefault((m.config.gop, m.config.filters), []).append(m)
-    by_group_all: dict[GroupKey, list[SegmentMeasurement]] = {}
-    for m in sweep:
-        by_group_all.setdefault((m.config.gop, m.config.filters), []).append(m)
+    by_group_front = _by_group(m for m, _ in front.entries)
+    by_group_all = _by_group(sweep)
 
     min_order = 2 if fit_order == "auto" else int(fit_order)
     state = ControllerState(constraints=constraints, front=front, sweep=sweep)
@@ -230,8 +225,7 @@ def choose_gop_model(
         scored.append((rank, key, models, sol))
     if not scored:
         raise ControllerError("no group produced a solution")
-    scored.sort(key=lambda item: item[0])
-    _, key, models, sol = scored[0]
+    _, key, models, sol = min(scored, key=lambda item: item[0])
     return key, models, sol
 
 
@@ -279,13 +273,10 @@ def run_segment_loop(
         )
         gop, filters = key
 
-        qp = sol.qp_int
-        clamped = False
         lo = max(grid.qp_bounds[0], prev_qp - qp_step_limit)
         hi = min(grid.qp_bounds[1], prev_qp + qp_step_limit)
-        if not lo <= qp <= hi:
-            qp = min(max(qp, lo), hi)
-            clamped = True
+        qp = min(max(sol.qp_int, lo), hi)
+        clamped = qp != sol.qp_int
         if clamped:
             predicted = predict_objectives(models, qp, segment_frames=segment.frame_count)
             satisfied, violations = check_constraints(predicted, current)
@@ -390,6 +381,11 @@ def _mean(values: Iterable[float]) -> float:
     return sum(vals) / len(vals)
 
 
+def _mean_vmaf(measured: Sequence[SegmentMeasurement]) -> float | None:
+    vmafs = [m.quality_vmaf for m in measured]
+    return _mean(vmafs) if all(v is not None for v in vmafs) else None
+
+
 def summarize(
     state: ControllerState,
     *,
@@ -408,38 +404,22 @@ def summarize(
         raise ControllerError("no measured segments to summarize")
     avg_bitrate = _mean(m.bitrate for m in measured)
     avg_psnr = _mean(m.quality_psnr for m in measured)
-    vmafs = [m.quality_vmaf for m in measured]
-    avg_vmaf = _mean(vmafs) if all(v is not None for v in vmafs) else None
-
-    summary = GainSummary(
-        segments=len(measured),
-        avg_bitrate_kbps=avg_bitrate,
-        avg_psnr_db=avg_psnr,
-        avg_vmaf=avg_vmaf,
-    )
+    avg_vmaf = _mean_vmaf(measured)
+    summary = GainSummary(len(measured), avg_bitrate, avg_psnr, avg_vmaf)
     if baseline_bitrate_kbps is None or encoder is None or segments is None:
         return summary
 
-    grid = encoder.grid()
-    default_gop = grid.default_gop
+    default_gop = encoder.grid().default_gop
     candidates = [
-        m
-        for m in state.sweep
-        if m.config.gop == default_gop and m.config.filters_on
+        m for m in state.sweep if m.config.gop == default_gop and m.config.filters_on
     ] or state.sweep
-    baseline_cfg = min(
-        candidates, key=lambda m: abs(m.bitrate - baseline_bitrate_kbps)
-    ).config
+    baseline_cfg = min(candidates, key=lambda m: abs(m.bitrate - baseline_bitrate_kbps)).config
     base = [encoder.encode(baseline_cfg, seg) for seg in segments]
     base_bitrate = _mean(m.bitrate for m in base)
     base_psnr = _mean(m.quality_psnr for m in base)
-    base_vmafs = [m.quality_vmaf for m in base]
-    base_vmaf = _mean(base_vmafs) if all(v is not None for v in base_vmafs) else None
-    return GainSummary(
-        segments=summary.segments,
-        avg_bitrate_kbps=avg_bitrate,
-        avg_psnr_db=avg_psnr,
-        avg_vmaf=avg_vmaf,
+    base_vmaf = _mean_vmaf(base)
+    return replace(
+        summary,
         baseline_qp=baseline_cfg.qp,
         baseline_bitrate_kbps=base_bitrate,
         baseline_psnr_db=base_psnr,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from . import media
+from . import media, records
 from .coefficients import REFERENCE_MODEL_SETS, ModelSet
 from .media import RawVideo, Segment
 
@@ -89,6 +89,11 @@ class SegmentMeasurement:
         if self.enc_rate <= 0:
             raise EncoderError("encoding rate must be positive")
 
+    def numbers(self) -> dict[str, float | None]:
+        """The measured numbers under their sweep-table and decision-log names."""
+        values = (self.bitrate, self.quality_psnr, self.quality_vmaf, self.enc_rate, self.enc_time)
+        return dict(zip(_NUMBER_COLUMNS, values))
+
     def objective(self, name: str) -> float:
         value = {
             "bits": self.bitrate,
@@ -117,14 +122,10 @@ class CodecGrid:
     newton_start: float
 
     def filter_combos(self) -> list[Filters]:
-        if not self.filter_axes:
-            return [()]
-        if self.joint_filters:
+        if self.joint_filters and self.filter_axes:
             return [tuple((ax, on) for ax in self.filter_axes) for on in (False, True)]
-        combos = []
-        for values in itertools.product((False, True), repeat=len(self.filter_axes)):
-            combos.append(tuple(zip(self.filter_axes, values)))
-        return combos
+        flags = itertools.product((False, True), repeat=len(self.filter_axes))
+        return [tuple(zip(self.filter_axes, values)) for values in flags]
 
     def gop_rank(self, gop: str) -> int:
         return self.gops.index(gop) if gop in self.gops else len(self.gops)
@@ -180,22 +181,9 @@ def grid_for(codec: str) -> CodecGrid:
 
 
 def _expand_grid(grid: CodecGrid) -> list[EncodingConfig]:
-    configs = []
-    for gop in grid.gops:
-        for qp in grid.qps:
-            for gop_type in grid.gop_types or (None,):
-                for filters in grid.filter_combos():
-                    configs.append(
-                        EncodingConfig(
-                            codec=grid.codec,
-                            gop=gop,
-                            qp=qp,
-                            filters=filters,
-                            gop_type=gop_type,
-                            preset=grid.preset,
-                        )
-                    )
-    return configs
+    axes = itertools.product(grid.gops, grid.qps, grid.gop_types or (None,), grid.filter_combos())
+    return [EncodingConfig(grid.codec, gop, qp, filters, gop_type, grid.preset)
+            for gop, qp, gop_type, filters in axes]
 
 
 def enumerate_configs(codec: str) -> list[EncodingConfig]:
@@ -460,10 +448,10 @@ class ProcessEncoder:
                         reference=str(src), distorted=str(dec), log=str(log_path),
                     ),
                 )
-                try:
-                    vmaf = media.parse_vmaf_log(log_path.read_text()).mean
-                except OSError as exc:
-                    raise EncoderError(f"cannot read the VMAF log: {exc}") from exc
+                try:  # a bad log fails this configuration, not the sweep
+                    vmaf = media.parse_vmaf_log(records.read_text(log_path, media.MediaError)).mean
+                except media.MediaError as exc:
+                    raise EncoderError(f"bad VMAF log: {exc}") from exc
 
         return SegmentMeasurement(
             config=config,
@@ -482,21 +470,18 @@ SWEEP_COLUMNS = (
     "segment_id", "codec", "gop", "gop_type", "qp", "filters",
     "bitrate_kbps", "psnr_db", "vmaf", "fps", "enc_time_s", "pareto",
 )
-
-
 _NUMBER_COLUMNS = ("bitrate_kbps", "psnr_db", "vmaf", "fps", "enc_time_s")
 
 
 def sweep_row(m: SegmentMeasurement, pareto: bool | None = None) -> dict:
     """A measurement as its table row holds it: numbers to 6 significant digits."""
     c = m.config
-    numbers = (m.bitrate, m.quality_psnr, m.quality_vmaf, m.enc_rate, m.enc_time)
     rec = {
         "segment_id": m.segment_index, "codec": c.codec, "gop": c.gop,
         "gop_type": c.gop_type or "-", "qp": c.qp, "filters": c.filters_label(),
         "pareto": "-" if pareto is None else ("1" if pareto else "0"),
     }
-    for col, value in zip(_NUMBER_COLUMNS, numbers):
+    for col, value in m.numbers().items():
         rec[col] = None if value is None else float(f"{value:.6g}")
     return rec
 
@@ -535,31 +520,20 @@ def write_sweep_table(
     write_sweep_rows(path, old + [sweep_row(m, flag) for m, flag in zip(rows, flags)])
 
 
+def _sweep_record(*cells: str) -> dict:
+    rec = dict(zip(SWEEP_COLUMNS, cells))
+    rec["segment_id"] = int(rec["segment_id"])
+    rec["qp"] = int(rec["qp"])
+    for key in ("bitrate_kbps", "psnr_db", "fps", "enc_time_s"):
+        rec[key] = float(rec[key])
+    rec["vmaf"] = records.optional(float, rec["vmaf"])
+    return rec
+
+
 def read_sweep_table(path: str | Path) -> list[dict]:
     """Rows as dicts keyed by SWEEP_COLUMNS; the first line must be ``#segenc-sweep``."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("#segenc-sweep"):
-        raise EncoderError(f"{path} is not a sweep table")
-    rows = []
-    for number, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(SWEEP_COLUMNS):
-            raise EncoderError(
-                f"{path}:{number}: {len(parts)} cells, a sweep row has {len(SWEEP_COLUMNS)}"
-            )
-        rec = dict(zip(SWEEP_COLUMNS, parts))
-        try:
-            rec["segment_id"] = int(rec["segment_id"])
-            rec["qp"] = int(rec["qp"])
-            for key in ("bitrate_kbps", "psnr_db", "fps", "enc_time_s"):
-                rec[key] = float(rec[key])
-            rec["vmaf"] = None if rec["vmaf"] == "-" else float(rec["vmaf"])
-        except ValueError as exc:
-            raise EncoderError(f"{path}:{number}: {exc}") from None
-        rows.append(rec)
-    return rows
+    return list(records.read_rows(path, EncoderError, "a sweep row", len(SWEEP_COLUMNS),
+                                  _sweep_record, marker=("#segenc-sweep", "a sweep table")))
 
 
 def sweep_row_key(rec: dict) -> tuple:

@@ -80,21 +80,19 @@ class RawVideo:
     def frame_count(self) -> int:
         return int(self.data.shape[0])
 
+    def _plane(self, start: int, h: int, w: int) -> np.ndarray:
+        return self.data[:, start : start + h * w].reshape(self.frame_count, h, w)
+
     def luma(self) -> np.ndarray:
         """All luma planes as a (frames, H, W) view."""
-        n, w, h = self.frame_count, self.width, self.height
-        return self.data[:, : w * h].reshape(n, h, w)
+        return self._plane(0, self.height, self.width)
 
     def chroma_u(self) -> np.ndarray:
-        n, w, h = self.frame_count, self.width, self.height
-        start = w * h
-        size = (w // 2) * (h // 2)
-        return self.data[:, start : start + size].reshape(n, h // 2, w // 2)
+        return self._plane(self.width * self.height, self.height // 2, self.width // 2)
 
     def chroma_v(self) -> np.ndarray:
-        n, w, h = self.frame_count, self.width, self.height
-        start = w * h + (w // 2) * (h // 2)
-        return self.data[:, start:].reshape(n, h // 2, w // 2)
+        quarter = (self.width // 2) * (self.height // 2)
+        return self._plane(self.width * self.height + quarter, self.height // 2, self.width // 2)
 
     @classmethod
     def from_file(cls, path: str | Path, width: int, height: int, fps: int) -> "RawVideo":
@@ -331,22 +329,30 @@ def _clamp_vmaf(value: float) -> float:
     return min(100.0, max(0.0, float(value)))
 
 
-def _parse_vmaf_json(obj: dict) -> VmafLog | None:
-    frames: list[float] = []
+def _json_scores(obj: dict) -> tuple[list[float], float | None]:
+    frames = []
     for rec in obj.get("frames", []) or []:
         metrics = rec.get("metrics", rec)
         if "vmaf" in metrics:
             frames.append(_clamp_vmaf(metrics["vmaf"]))
-    pooled = None
     pooled_block = obj.get("pooled_metrics", {}).get("vmaf")
     if isinstance(pooled_block, dict) and "mean" in pooled_block:
-        pooled = pooled_block["mean"]
-    elif "aggregate" in obj and "VMAF_score" in obj["aggregate"]:
-        pooled = obj["aggregate"]["VMAF_score"]
-    if pooled is None and not frames:
-        return None
-    mean = _clamp_vmaf(pooled) if pooled is not None else float(np.mean(frames))
-    return VmafLog(tuple(frames), mean)
+        return frames, _clamp_vmaf(pooled_block["mean"])
+    if "aggregate" in obj and "VMAF_score" in obj["aggregate"]:
+        return frames, _clamp_vmaf(obj["aggregate"]["VMAF_score"])
+    return frames, None
+
+
+def _text_scores(text: str) -> tuple[list[float], float | None]:
+    frames: list[float] = []
+    pooled = None
+    for line in text.splitlines():
+        for key, value in _KV_RE.findall(line):
+            if key == "vmaf":
+                frames.append(_clamp_vmaf(float(value)))
+            else:
+                pooled = _clamp_vmaf(float(value))
+    return frames, pooled
 
 
 def parse_vmaf_log(log_text: str) -> VmafLog:
@@ -356,26 +362,17 @@ def parse_vmaf_log(log_text: str) -> VmafLog:
     per-frame record per line and an optional ``pooled_vmaf`` /
     ``vmaf_mean`` line.  When no pooled field is present, the mean is the
     arithmetic mean of the per-frame values.  Scores are clamped to
-    [0, 100].
+    [0, 100].  Anything else, such as a score that is no number, is a
+    ``MediaError``.
     """
     stripped = log_text.strip()
-    if stripped.startswith("{"):
-        try:
-            parsed = _parse_vmaf_json(json.loads(stripped))
-        except json.JSONDecodeError:
-            parsed = None
-        if parsed is not None:
-            return parsed
-        raise MediaError("not a VMAF log")
-
-    frames: list[float] = []
-    pooled: float | None = None
-    for line in stripped.splitlines():
-        for key, value in _KV_RE.findall(line):
-            if key == "vmaf":
-                frames.append(_clamp_vmaf(float(value)))
-            else:
-                pooled = _clamp_vmaf(float(value))
+    try:
+        if stripped.startswith("{"):
+            frames, pooled = _json_scores(json.loads(stripped))
+        else:
+            frames, pooled = _text_scores(stripped)
+    except (AttributeError, TypeError, ValueError):  # ValueError covers bad JSON
+        raise MediaError("not a VMAF log") from None
     if pooled is not None:
         return VmafLog(tuple(frames), pooled)
     if frames:

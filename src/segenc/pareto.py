@@ -130,32 +130,19 @@ def select_mode_optimal(
         raise ValueError("empty front")
     objective = get_mode(mode).objective
 
-    feasible: list[tuple[int, Any, ObjectivePoint]] = []
-    fallback: tuple[float, int] | None = None
-    fallback_entry: tuple[Any, ObjectivePoint] | None = None
+    feasible: list[tuple[tuple, Any, ObjectivePoint]] = []
+    infeasible: list[tuple[tuple, Any, ObjectivePoint]] = []
     for i, (config, point) in enumerate(front.entries):
         satisfied, violations = check_constraints(
             _entry_predictions(point, front.cost_kind, frames, constraints.quality_metric),
             constraints,
         )
         if satisfied:
-            feasible.append((i, config, point))
+            key = (point.cost(objective), point.bitrate, getattr(config, "qp", 0), i)
+            feasible.append((key, config, point))
         else:
-            total = sum(violations.values())
-            if fallback is None or (total, i) < fallback:
-                fallback = (total, i)
-                fallback_entry = (config, point)
-
-    if not feasible:
-        assert fallback_entry is not None
-        return fallback_entry
-
-    def sort_key(item: tuple[int, Any, ObjectivePoint]):
-        i, config, point = item
-        qp = getattr(config, "qp", 0)
-        return (point.cost(objective), point.bitrate, qp, i)
-
-    _, config, point = min(feasible, key=sort_key)
+            infeasible.append(((sum(violations.values()), i), config, point))
+    _, config, point = min(feasible or infeasible, key=lambda item: item[0])
     return config, point
 
 

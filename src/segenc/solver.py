@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Mapping
 
 import numpy as np
@@ -94,6 +95,9 @@ class ConstraintSet:
             raise SolverError("tolerances must be within [0, 0.5]")
         if not self.bounds():
             raise SolverError("at least one bound must be set")
+        for name, value in self.bounds().items():  # bool is an int, but no bound
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise SolverError(f"{name}={value!r} is not a finite number")
 
     def bounds(self) -> dict[str, float]:
         out = {}
@@ -311,23 +315,17 @@ def local_search(
     """
     lo = max(center_qp - radius, qp_bounds[0])
     hi = min(center_qp + radius, qp_bounds[1])
-    best_ok: tuple[tuple, QpSolution] | None = None
-    best_bad: tuple[tuple, QpSolution] | None = None
+    best: tuple[tuple, QpSolution] | None = None
     for qp in range(lo, hi + 1):
         pred, satisfied, violations = _evaluate(qp, models, constraints, segment_frames)
-        sol = QpSolution(float(center_qp), qp, pred, satisfied, violations)
-        if satisfied:
-            key = _candidate_sort_key(qp, pred, constraints)
-            if best_ok is None or key < best_ok[0]:
-                best_ok = (key, sol)
+        if satisfied:  # every feasible QP ranks before every infeasible one
+            rank = (False, _candidate_sort_key(qp, pred, constraints))
         else:
-            key = (sum(violations.values()), pred.get("bits", 0.0), qp)
-            if best_bad is None or key < best_bad[0]:
-                best_bad = (key, sol)
-    if best_ok is not None:
-        return best_ok[1]
-    assert best_bad is not None
-    return best_bad[1]
+            rank = (True, (sum(violations.values()), pred.get("bits", 0.0), qp))
+        if best is None or rank < best[0]:
+            best = (rank, QpSolution(float(center_qp), qp, pred, satisfied, violations))
+    assert best is not None
+    return best[1]
 
 
 def _bound_holds_everywhere(
@@ -398,16 +396,14 @@ def solve_constrained(
         if qi not in candidates:
             candidates.append(qi)
 
-    best: tuple[tuple, QpSolution] | None = None
+    feasible = []
     for qi in candidates:
         pred, satisfied, violations = _evaluate(qi, models, constraints, segment_frames)
         if satisfied:
             key = _candidate_sort_key(qi, pred, constraints)
-            sol = QpSolution(qp_reals[0], qi, pred, True, violations)
-            if best is None or key < best[0]:
-                best = (key, sol)
-    if best is not None:
-        return best[1]
+            feasible.append((key, QpSolution(qp_reals[0], qi, pred, True, violations)))
+    if feasible:
+        return min(feasible, key=lambda item: item[0])[1]
 
     searched = local_search(
         candidates[0],

@@ -687,3 +687,160 @@ class TestEntryPoint:
         code = run_cli("optimize", "--codec", "synthetic", "--frames", 150,
                        "--fps", 50, "--mode", "fastest")
         assert code == 1
+
+
+OPTIMIZE_SYNTHETIC = (
+    "optimize", "--codec", "synthetic", "--frames", 100, "--fps", 50,
+    "--mode", "max_quality", "--max-bitrate-kbps", 9000, "--min-fps", 20,
+)
+
+
+class TestUnreadableInputs:
+    """Every input file that cannot be read as text is a data error naming it."""
+
+    def command(self, tmp_path, rng, which, bad):
+        mv, pu = write_mv_pu_files(tmp_path, rng)
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({
+            label: {"mode": "min_bitrate", "min_quality": 38.0, "min_fps": 25.0}
+            for label in ("tracking", "stationary", "zoom")
+        }))
+        inputs = {"mv": mv, "pu": pu, "policy": policy, which: bad}
+        classify = ("classify", "--mv-file", inputs["mv"], "--pu-file", inputs["pu"],
+                    "--policy", inputs["policy"])
+        rd = tmp_path / "one.rd"
+        write_rd_file(rd, TestBdrate().rd_rows("one"))
+        yuv = tmp_path / "clip.yuv"
+        yuv.write_bytes(bytes(96 * 2))  # two 8x8 frames
+        return {
+            "mv": classify, "pu": classify, "policy": classify,
+            "bdrate": ("bdrate", rd, bad),
+            "config": (*OPTIMIZE_SYNTHETIC, "--config", bad),
+            "schedule": (*OPTIMIZE_SYNTHETIC, "--constraint-schedule", bad),
+            "vmaf-log": ("metrics", "--ref", yuv, "--dist", yuv, "--width", 8, "--height", 8,
+                         "--vmaf-log", bad),
+            "sweep-table": ("sweep", "--codec", "synthetic", "--frames", 150, "--fps", 50,
+                            "--out", bad),
+        }[which]
+
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    @pytest.mark.parametrize("which", ["mv", "pu", "policy", "bdrate", "config", "schedule",
+                                       "vmaf-log", "sweep-table"])
+    def test_is_data_error_naming_the_file(self, tmp_path, rng, capsys, which, kind):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe0 0 0 1.0 2.0\n")
+        code = run_cli(*self.command(tmp_path, rng, which, bad))
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+
+
+class TestMalformedSweepTable:
+    def test_short_row_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "bad.tsv"
+        run_cli("sweep", "--codec", "synthetic", "--frames", 150, "--fps", 50, "--out", out)
+        lines = out.read_text().splitlines()
+        lines[2] = "0\tsynthetic"
+        out.write_text("\n".join(lines) + "\n")
+        code = run_cli("sweep", "--codec", "synthetic", "--frames", 150, "--fps", 50,
+                       "--out", out)
+        assert code == 2
+        assert f"data error: {out}:3: 2 cells, a sweep row has 12" in capsys.readouterr().err
+
+    def test_non_table_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "nt.tsv"
+        out.write_text("segment_id\tcodec\n")
+        code = run_cli("sweep", "--codec", "synthetic", "--frames", 150, "--fps", 50,
+                       "--out", out)
+        assert code == 2
+        assert f"data error: {out} is not a sweep table" in capsys.readouterr().err
+        assert out.read_text() == "segment_id\tcodec\n"
+
+
+class TestBadVmafLog:
+    """A VMAF log that cannot be read fails its configuration, not the sweep."""
+
+    @pytest.mark.parametrize("log", ["printf '\\377\\376'", "echo junk"],
+                             ids=["not-utf8", "not-a-log"])
+    def test_fails_one_configuration(self, tmp_path, capsys, log):
+        clip = tmp_path / "clip.yuv"
+        clip.write_bytes(bytes(16 * 16 * 3 // 2))  # one black 16x16 frame
+        vmaf = f"if [ {{qp}} = 16 ]; then {log}; else echo vmaf=90; fi > {{log}}"
+        config = tmp_path / "project.json"
+        config.write_text(json.dumps({"codecs": {"vp9": {
+            "encode": "cp {input} {output}",
+            "decode": "cp {input} {output}",
+            "vmaf": f"sh -c {json.dumps(vmaf)}",
+        }}}))
+        out = tmp_path / "sweep.tsv"
+        code = run_cli("sweep", "--codec", "vp9", "--video", clip, "--width", 16,
+                       "--height", 16, "--fps", 1, "--segment-seconds", 1,
+                       "--config", config, "--out", out)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("encode failed") == 10  # vp9: 5 GOPs x 2 deblock settings at QP 16
+        assert err.count("bad VMAF log") == 10
+        rows = read_sweep_table(out)
+        assert len(rows) == 90
+        assert {r["qp"] for r in rows} == set(range(20, 53, 4))
+        assert {r["vmaf"] for r in rows} == {90.0}
+
+
+class TestSweepSegmentRange:
+    @pytest.mark.parametrize("segment", [9, -1])
+    def test_out_of_range_is_usage_error(self, tmp_path, capsys, segment):
+        out = tmp_path / "sweep.tsv"
+        code = run_cli("sweep", "--codec", "synthetic", "--frames", 150, "--fps", 50,
+                       "--segment", segment, "--out", out)
+        assert code == 1
+        assert "0..0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNonFiniteBounds:
+    """A bound that is no finite number is rejected where it is read."""
+
+    @pytest.mark.parametrize("bound", ["x", float("nan"), float("inf"), True],
+                             ids=["string", "nan", "inf", "bool"])
+    def test_policy_bound_is_data_error_naming_the_file(self, tmp_path, rng, capsys, bound):
+        mv_path, pu_path = write_mv_pu_files(tmp_path, rng)
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({
+            label: {"mode": "max_quality", "max_bitrate_kbps": bound, "min_fps": 25.0}
+            for label in ("tracking", "stationary", "zoom")
+        }))
+        out = tmp_path / "schedule.json"
+        code = run_cli("classify", "--mv-file", mv_path, "--pu-file", pu_path,
+                       "--policy", policy, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(policy) in err and "max_bitrate_kbps" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bound", ["x", float("nan")], ids=["string", "nan"])
+    def test_schedule_bound_is_data_error_naming_the_file(self, tmp_path, capsys, bound):
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps({"version": 1, "regions": [{
+            "start_frame": 0, "end_frame": 100, "label": "stationary",
+            "constraints": {"mode": "max_quality", "max_bitrate_kbps": bound, "min_fps": 20.0},
+        }]}))
+        code = run_cli(*OPTIMIZE_SYNTHETIC, "--constraint-schedule", schedule)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(schedule) in err and "max_bitrate_kbps" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_rd_cell_is_data_error_naming_the_line(self, tmp_path, capsys, cell):
+        a = tmp_path / "a.rd"
+        b = tmp_path / "b.rd"
+        write_rd_file(a, TestBdrate().rd_rows("one"))
+        write_rd_file(b, TestBdrate().rd_rows("two"))
+        lines = b.read_text().splitlines()
+        cells = lines[3].split("\t")
+        cells[3] = cell  # psnr611
+        lines[3] = "\t".join(cells)
+        b.write_text("\n".join(lines) + "\n")
+        assert run_cli("bdrate", a, b) == 2
+        assert f"{b}:4: '{cell}' is not a finite number" in capsys.readouterr().err

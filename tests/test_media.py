@@ -200,6 +200,18 @@ class TestVmafLog:
         parsed = parse_vmaf_log("vmaf=104.2\nvmaf=-3.0\n")
         assert parsed.frame_scores == (100.0, 0.0)
 
+    @pytest.mark.parametrize("log", [
+        '{"frames": 3}',
+        '{"frames": [{"metrics": {"vmaf": "high"}}]}',
+        '{"pooled_metrics": {"vmaf": {"mean": "x"}}}',
+        '{"pooled_metrics": 3}',
+        "frame=0 vmaf=1e\n",
+    ], ids=["frames-not-list", "frame-not-number", "pooled-not-number", "pooled-not-object",
+            "text-not-number"])
+    def test_malformed_log_rejected(self, log):
+        with pytest.raises(MediaError, match="not a VMAF log"):
+            parse_vmaf_log(log)
+
 
 class TestRawVideoValidation:
     def test_odd_dimensions_rejected(self):

@@ -275,3 +275,15 @@ class TestSolveConstrained:
         assert sol.satisfied
         # enc_rate grows with QP under this law: the quality bound binds
         assert sol.qp_int == 30
+
+
+class TestBoundValues:
+    @pytest.mark.parametrize("value", ["x", float("nan"), float("inf"), True])
+    def test_bound_must_be_a_finite_number(self, value):
+        with pytest.raises(SolverError, match="min_fps"):
+            ConstraintSet(mode="max_quality", max_bitrate_kbps=9000.0, min_fps=value)
+
+    def test_numpy_numbers_are_bounds(self):
+        cs = ConstraintSet(mode="max_quality", max_bitrate_kbps=np.float64(9000.0),
+                           min_fps=np.int64(20))
+        assert cs.bounds() == {"max_bitrate_kbps": 9000.0, "min_fps": 20}
