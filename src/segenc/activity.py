@@ -9,15 +9,18 @@ wins is the region's activity.  Activity boundaries are detected from
 relative changes in the per-frame prediction-unit count, and each label
 maps to a constraint set through a policy.
 
-The U test is scipy's.  ``select_bins`` imports it when first called, so
-importing this module, and every command that never selects bins, does
-not load scipy.
+MV files are read into columns, a frame-number array and an ``(n, 2)``
+vector array, by one numpy parse; a region's vectors are a mask over the
+frame column.  The U test is scipy's, run once per group of bins that share
+a tie class.  ``select_bins`` imports it when first called, so importing
+this module, and every command that never selects bins, does not load
+scipy.
 """
 
 from __future__ import annotations
 
+import io
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -94,6 +97,28 @@ class BinSelection:
     fallback: bool = False  # no bin discriminated; all bins used instead
 
 
+def _bin_p_values(a_vecs: np.ndarray, b_vecs: np.ndarray) -> np.ndarray:
+    """Two-sided U-test p-value of each bin (column); NaN where all values are equal.
+
+    The bins that vary are tested in at most two scipy calls, one for the
+    bins with tied values and one for those without, because scipy picks
+    the exact or the tie-corrected test from ties anywhere in its input.
+    Each p-value is then the one a call on that bin alone gives.
+    """
+    from scipy import stats  # about 1 s to import, so only when bins are selected
+
+    both = np.concatenate([a_vecs, b_vecs])
+    varying = np.flatnonzero(np.ptp(both, axis=0) != 0.0)
+    ordered = np.sort(both[:, varying], axis=0)
+    tied = (ordered[1:] == ordered[:-1]).any(axis=0)
+    p = np.full(both.shape[1], np.nan)
+    for group in (varying[tied], varying[~tied]):
+        if group.size:
+            p[group] = stats.mannwhitneyu(a_vecs[:, group], b_vecs[:, group],
+                                          alternative="two-sided", axis=0).pvalue
+    return p
+
+
 def select_bins(
     training: Sequence[tuple[str, MotionFeatures]],
     pair: tuple[str, str],
@@ -110,17 +135,7 @@ def select_bins(
     b_vecs = np.array([f.vector() for lbl, f in training if lbl == pair[1]])
     if len(a_vecs) < 2 or len(b_vecs) < 2:
         raise ActivityError(f"need at least 2 samples per label for pair {pair}")
-    from scipy import stats  # about 1 s to import, so only when bins are selected
-
-    selected = []
-    for bin_idx in range(a_vecs.shape[1]):
-        a = a_vecs[:, bin_idx]
-        b = b_vecs[:, bin_idx]
-        if np.ptp(np.concatenate([a, b])) == 0.0:
-            continue
-        _, p = stats.mannwhitneyu(a, b, alternative="two-sided")
-        if p <= alpha:
-            selected.append(bin_idx)
+    selected = np.flatnonzero(_bin_p_values(a_vecs, b_vecs) <= alpha).tolist()
     if not selected:
         return BinSelection(tuple(range(a_vecs.shape[1])), fallback=True)
     return BinSelection(tuple(selected))
@@ -215,28 +230,64 @@ def apply_policy(label: str, policy: ActivityPolicy) -> ConstraintSet:
 # file interfaces: MV field files, PU series files, policy files
 
 
+_MV_COLUMNS = np.dtype([("frame", np.int64), ("block_x", np.float64),
+                        ("block_y", np.float64), ("dx", np.float64), ("dy", np.float64)])
+_PLAIN_TEXT = bytes(range(0x20, 0x7F)) + b"\t\n"
+_INT64 = range(-(2**63), 2**63)
+
+
 def _mv_record(frame: str, _block_x: str, _block_y: str, dx: str, dy: str):
-    return int(frame), (float(dx), float(dy))
+    number = int(frame)
+    if number not in _INT64:
+        raise ValueError(f"frame {frame} is out of range")
+    return number, float(dx), float(dy)
 
 
-def read_mv_field(path: str | Path) -> dict[int, list[tuple[float, float]]]:
-    """Line-delimited ``frame block_x block_y dx dy`` records, per frame."""
-    frames: dict[int, list[tuple[float, float]]] = defaultdict(list)
-    for frame, mv in records.read_rows(path, ActivityError, "an MV record", 5, _mv_record):
-        frames[frame].append(mv)
-    if not frames:
+def read_mv_field(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Line-delimited ``frame block_x block_y dx dy`` records as columns.
+
+    Returns the frame numbers (int64) and the ``(n, 2)`` float64 motion
+    vectors, both in file order.  Cells split on commas or whitespace.  A
+    file of plain numeric records is parsed in one ``np.loadtxt`` call; any
+    other file (``#`` comment lines, non-numeric block cells, a bad record)
+    goes through the line reader, which gives the same values for what both
+    accept and names file:line for a bad record.
+    """
+    text = records.read_text(path, ActivityError)
+    # numpy splits lines and cells as the line reader does only in printable
+    # ASCII, tabs and newlines; a blank file gets the line reader's error
+    if text.strip() and text.isascii() and not text.encode("ascii").translate(None, _PLAIN_TEXT):
+        try:
+            parsed = np.loadtxt(io.StringIO(text.replace(",", " ")), dtype=_MV_COLUMNS,
+                                comments=None, ndmin=1)
+        except ValueError:  # the line reader accepts the file or names the bad line
+            pass
+        else:
+            return parsed["frame"].copy(), np.column_stack([parsed["dx"], parsed["dy"]])
+    rows = list(records.read_rows(path, ActivityError, "an MV record", 5, _mv_record))
+    if not rows:
         raise ActivityError(f"{path}: empty MV field file")
-    return dict(frames)
+    frames = np.array([row[0] for row in rows], dtype=np.int64)
+    return frames, np.array([row[1:] for row in rows], dtype=np.float64)
 
 
 def read_pu_series(path: str | Path) -> list[float]:
-    """Line-delimited ``frame pu_count`` records, ordered by frame."""
+    """Line-delimited ``frame pu_count`` records, ordered by frame.
+
+    Frames count from the clip's first frame, 0, as MV frames and
+    ``optimize``'s segments do, so the series' positions are frame numbers;
+    a missing frame is an error naming it.
+    """
     counts = dict(records.read_rows(
         path, ActivityError, "a PU record", 2, lambda frame, count: (int(frame), float(count))
     ))
     if not counts:
         raise ActivityError(f"{path}: empty PU series file")
-    return [counts[f] for f in sorted(counts)]
+    missing = next((f for f in range(len(counts)) if f not in counts), None)
+    if missing is not None:
+        raise ActivityError(f"{path}: PU frames must run from 0 without a gap; "
+                            f"frame {missing} is missing")
+    return [counts[f] for f in range(len(counts))]
 
 
 def read_policy(path: str | Path) -> dict[str, ConstraintSet]:

@@ -75,6 +75,17 @@ def _load_project_config(path: str | None) -> dict:
     return cfg
 
 
+def _check_out_path(path: str | None) -> None:
+    """Fail before any work when ``path`` cannot be written as a file."""
+    if not path:
+        return
+    out = Path(path)
+    if out.is_dir():
+        raise DataError(f"output path {path} is a directory")
+    if not out.parent.is_dir():
+        raise DataError(f"output path {path}: no directory {out.parent}")
+
+
 def _load_video(args) -> media.RawVideo | None:
     if args.video is None:
         return None
@@ -128,6 +139,7 @@ def _add_video_args(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_sweep(args) -> int:
+    _check_out_path(args.out)
     cfg = _load_project_config(args.config)
     video = _load_video(args)
     with _make_encoder(args, cfg, video) as encoder:
@@ -245,6 +257,7 @@ def _schedule_fn(path: str | None):
 
 
 def cmd_optimize(args) -> int:
+    _check_out_path(args.decisions)
     cfg = _load_project_config(args.config)
     constraints = _constraints_from_args(args, cfg.get("tolerances", {}))
     video = _load_video(args)
@@ -269,7 +282,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    mv_frames = activity.read_mv_field(args.mv_file)
+    _check_out_path(args.out)
+    mv_frames, mv_vectors = activity.read_mv_field(args.mv_file)
     pu_series = activity.read_pu_series(args.pu_file)
     policy = activity.read_policy(args.policy)
 
@@ -284,9 +298,7 @@ def cmd_classify(args) -> int:
 
     regions = []
     for start, end in zip(edges, edges[1:]):
-        vectors = [
-            mv for frame in range(start, end) for mv in mv_frames.get(frame, [])
-        ]
+        vectors = mv_vectors[(mv_frames >= start) & (mv_frames < end)]
         pu_mean = float(np.mean(pu_series[start:end]))
         features = activity.extract_mv_features(vectors, pu_mean)
         label = activity.classify(features, training, k=args.k, bin_cache=bin_cache)
@@ -311,8 +323,7 @@ def _read_training_dir(path: str) -> list[tuple[str, activity.MotionFeatures]]:
         label = file.stem.split("_")[0]
         if label not in activity.LABELS:
             raise DataError(f"training file {file.name} does not start with a label")
-        frames = activity.read_mv_field(file)
-        vectors = [mv for mvs in frames.values() for mv in mvs]
+        _, vectors = activity.read_mv_field(file)
         training.append((label, activity.extract_mv_features(vectors)))
     if not training:
         raise DataError(f"no .mv training files under {path}")
@@ -335,11 +346,14 @@ def cmd_bdrate(args) -> int:
 def cmd_metrics(args) -> int:
     ref = media.RawVideo.from_file(args.ref, args.width, args.height, args.fps)
     dist = media.RawVideo.from_file(args.dist, args.width, args.height, args.fps)
+    vmaf = None
+    if args.vmaf_log:  # before the metric pass, so a bad log fails at once
+        try:
+            vmaf = media.parse_vmaf_log(records.read_text(args.vmaf_log, DataError)).mean
+        except media.MediaError as exc:
+            raise DataError(f"{args.vmaf_log}: {exc}") from None
     scores = media.psnr_global(ref, dist)
     ssim = media.ssim_mean(ref, dist)
-    vmaf = None
-    if args.vmaf_log:
-        vmaf = media.parse_vmaf_log(records.read_text(args.vmaf_log, DataError)).mean
     report = {
         "psnr_y": scores.psnr_y,
         "psnr_u": scores.psnr_u,

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from segenc import activity, records
 from segenc.activity import (
+    BIN_ALPHA,
     ActivityError,
     LABELS,
     PAIRS,
@@ -123,6 +126,47 @@ class TestBinSelection:
             select_bins(training, ("tracking", "stationary"))
 
 
+class TestBinPValues:
+    """One scipy call per tie class gives the p-values of one call per bin."""
+
+    @staticmethod
+    def per_bin(a_vecs, b_vecs):
+        from scipy import stats
+
+        p = []
+        for i in range(a_vecs.shape[1]):
+            a, b = a_vecs[:, i], b_vecs[:, i]
+            if np.ptp(np.concatenate([a, b])) == 0.0:
+                p.append(None)
+            else:
+                p.append(float(stats.mannwhitneyu(a, b, alternative="two-sided").pvalue))
+        return p
+
+    def test_bit_identical_to_one_call_per_bin(self, rng):
+        sets = [synthetic_training(np.random.default_rng(seed), noise_sigma=sigma)
+                for seed, sigma in [(0, 0.0), (1, 0.0), (2, 0.5), (3, 1.5)]]
+        sets.append(TestBinSelection().make_training(rng, a_shift_bins=(7,)))
+        tie_kinds = set()
+        for training in sets:
+            labels = [lbl for lbl, _ in training]
+            for pair in [pr for pr in PAIRS if min(map(labels.count, pr)) >= 2]:
+                a_vecs = np.array([f.vector() for lbl, f in training if lbl == pair[0]])
+                b_vecs = np.array([f.vector() for lbl, f in training if lbl == pair[1]])
+                expected = self.per_bin(a_vecs, b_vecs)
+                got = activity._bin_p_values(a_vecs, b_vecs)
+                assert [None if math.isnan(p) else p.hex() for p in got.tolist()] == [
+                    None if p is None else p.hex() for p in expected
+                ]
+                chosen = [i for i, p in enumerate(expected) if p is not None and p <= BIN_ALPHA]
+                selection = select_bins(training, pair)
+                assert selection.indices == (tuple(chosen) or tuple(range(50)))
+                assert selection.fallback == (not chosen)
+                both = np.concatenate([a_vecs, b_vecs])
+                tie_kinds |= {len(np.unique(col)) < len(col)
+                              for col, p in zip(both.T, expected) if p is not None}
+        assert tie_kinds == {True, False}  # both scipy calls were made
+
+
 class TestClassify:
     def test_zero_motion_is_stationary(self, rng):
         training = synthetic_training(rng)
@@ -226,9 +270,9 @@ class TestFileInterfaces:
     def test_mv_field_roundtrip(self, tmp_path):
         path = tmp_path / "field.mv"
         path.write_text("# frame bx by dx dy\n0 0 0 5.0 0.0\n0 8 0 5.0 0.0\n1 0 0 0.0 0.0\n")
-        frames = read_mv_field(path)
-        assert frames[0] == [(5.0, 0.0), (5.0, 0.0)]
-        assert frames[1] == [(0.0, 0.0)]
+        frames, vectors = read_mv_field(path)
+        assert frames.tolist() == [0, 0, 1]
+        assert vectors.tolist() == [[5.0, 0.0], [5.0, 0.0], [0.0, 0.0]]
 
     def test_empty_mv_file_rejected(self, tmp_path):
         path = tmp_path / "field.mv"
@@ -256,3 +300,105 @@ class TestFileInterfaces:
         policy = read_policy(path)
         assert policy["zoom"].min_quality == 0.94
         assert policy["tracking"].quality_metric == "ssim"
+
+
+def line_reader(path):
+    """Reference MV reader: every line through ``records.read_rows``, values as hex."""
+    rows = list(records.read_rows(path, ActivityError, "an MV record", 5, activity._mv_record))
+    if not rows:
+        raise ActivityError(f"{path}: empty MV field file")
+    return [row[0] for row in rows], [[row[1].hex(), row[2].hex()] for row in rows]
+
+
+def hexed(frames, vectors):
+    return frames.tolist(), [[dx.hex(), dy.hex()] for dx, dy in vectors.tolist()]
+
+
+_SIGN = st.sampled_from(["", "", "+", "-"])
+_DIGITS = st.text("0123456789", min_size=1, max_size=4)
+_INTEGER = st.tuples(_SIGN, _DIGITS).map("".join)
+_SUFFIX = st.sampled_from(["", ".", ".5", "e3", "e-9", ".25e+400"])
+_NUMBER = st.tuples(_SIGN, _DIGITS, _SUFFIX).map("".join)
+_CELL = st.one_of(
+    _INTEGER,
+    _NUMBER,
+    st.sampled_from(["nan", "-nan", "+nan", "1e999", "#"]),
+    st.text(alphabet="0123456789+-.e#", max_size=4),
+)
+
+
+def _mv_texts(separators, ends):
+    separator = st.sampled_from(separators)
+
+    def joined(cells):
+        return st.tuples(*[st.tuples(cell, separator) for cell in cells]).map(
+            lambda pairs: "".join(cell + sep for cell, sep in pairs))
+
+    record = joined([_INTEGER] + [_NUMBER] * 4)
+    junk = st.integers(0, 6).flatmap(lambda n: joined([_CELL] * n))
+    line = st.integers(0, 4).flatmap(lambda i: junk if i == 0 else record)
+    return st.lists(st.tuples(line, st.sampled_from(ends)), max_size=6).map(
+        lambda lines: "".join(text + end for text, end in lines))
+
+
+# half plain texts, which numpy parses, half with line breaks of other kinds
+_PLAIN = [" ", " ", " ", "  ", "\t", ",", ", "]
+_MV_TEXT = st.one_of(
+    _mv_texts(_PLAIN, ["\n", "\n", "\n\n", "\r\n"]),
+    _mv_texts(_PLAIN + ["\x0c", "\r", " \x0c "], ["\n", "\r", "\x0c"]),
+)
+
+
+class TestMvReader:
+    """The one-parse MV reader agrees with the line reader on every text."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_MV_TEXT)
+    @example(text="0 0\x0c0 1 2\n")  # one record to numpy, two lines to splitlines
+    @example(text="5.0 0 0 1 2\n")  # int() rejects a float frame
+    @example(text="99999999999999999999 0 0 1 2\n")  # beyond int64
+    @example(text="0 a b 1 2\n# comment\n")  # block cells are never converted
+    @example(text="1_0 0 0 1_5 -nan\n")
+    @example(text="\u0663 0 0 1 \u0662\n")  # non-ASCII digits, which only int() and float() read
+    @example(text=" \t\n")
+    def test_same_values_or_both_reject(self, tmp_path, text):
+        path = tmp_path / "field.mv"
+        path.write_bytes(text.encode())
+        try:
+            expected = line_reader(path)
+        except ActivityError:
+            with pytest.raises(ActivityError):
+                read_mv_field(path)
+        else:
+            assert hexed(*read_mv_field(path)) == expected
+
+    def test_plain_file_is_one_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "field.mv"
+        path.write_text("0 0 0 1.5 -2\n0,1,0,nan,1e3\n\n 7\t0 0 .5 5.\n+3 0 0 -inf 1e-320\n")
+        expected = line_reader(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the line reader was used")
+
+        monkeypatch.setattr(records, "read_rows", refuse)
+        frames, vectors = read_mv_field(path)
+        assert frames.dtype == np.int64 and vectors.shape == (4, 2)
+        assert hexed(frames, vectors) == expected
+
+    def test_bad_line_deep_in_a_large_file_is_named(self, tmp_path):
+        path = tmp_path / "field.mv"
+        lines = [f"{i // 64} {i % 8} {i // 8 % 8} 1.25 -0.5" for i in range(60_000)]
+        lines[45_677] += " 9"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ActivityError, match="6 cells, an MV record has 5") as info:
+            read_mv_field(path)
+        assert str(info.value).startswith(f"{path}:45678:")
+
+    def test_pu_gap_names_the_missing_frame(self, tmp_path):
+        path = tmp_path / "pu.txt"
+        path.write_text("".join(f"{f} 900\n" for f in range(50))
+                        + "".join(f"{f} 300\n" for f in range(100, 150)))
+        with pytest.raises(ActivityError, match="frame 50 is missing") as info:
+            read_pu_series(path)
+        assert str(path) in str(info.value)

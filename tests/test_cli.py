@@ -478,6 +478,20 @@ class TestMalformedActivityFiles:
         line = 1 if bad == "mv" else 2
         assert f"{paths[bad]}:{line}:" in capsys.readouterr().err
 
+    def test_pu_gap_is_data_error_naming_the_frame(self, tmp_path, rng, capsys):
+        # before the check, the second run's frames 100-149 were read as 50-99
+        mv_path, _ = write_mv_pu_files(tmp_path, rng)
+        pu_path = tmp_path / "gap.txt"
+        pu_path.write_text("".join(f"{f} 900\n" for f in range(50))
+                           + "".join(f"{f} 300\n" for f in range(100, 150)))
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text("{}")
+        code = run_cli("classify", "--mv-file", mv_path, "--pu-file", pu_path,
+                       "--policy", policy_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(pu_path) in err and "frame 50 is missing" in err
+
 
 class TestMalformedPolicy:
     @pytest.mark.parametrize("text, message", [
@@ -604,6 +618,17 @@ class TestMetrics:
         assert len(resident) == frames
         assert max(resident) <= frame_bytes + 2 * PAGE
 
+    def test_bad_vmaf_log_is_reported_before_the_metric_pass(self, tmp_path, capsys):
+        clip = tmp_path / "clip.yuv"
+        clip.write_bytes(bytes(6 * 2))  # two 2x2 frames, too small for SSIM
+        log = tmp_path / "vmaf.log"
+        log.write_text("junk\n")
+        code = run_cli("metrics", "--ref", clip, "--dist", clip, "--width", 2, "--height", 2,
+                       "--vmaf-log", log)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{log}: not a VMAF log" in err and "SSIM" not in err
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code = run_cli("metrics", "--ref", tmp_path / "none.yuv",
                        "--dist", tmp_path / "none.yuv", "--width", 8, "--height", 8)
@@ -693,6 +718,36 @@ OPTIMIZE_SYNTHETIC = (
     "optimize", "--codec", "synthetic", "--frames", 100, "--fps", 50,
     "--mode", "max_quality", "--max-bitrate-kbps", 9000, "--min-fps", 20,
 )
+
+
+class TestOutputPaths:
+    """An output path that cannot be written fails before any work starts."""
+
+    @pytest.mark.parametrize("kind", ["directory", "missing-directory"])
+    @pytest.mark.parametrize("command", ["classify", "optimize", "sweep"])
+    def test_is_data_error_naming_the_path(self, tmp_path, rng, capsys, command, kind):
+        out = tmp_path / "out"
+        if kind == "directory":
+            out.mkdir()
+        else:
+            out = tmp_path / "missing" / "out"
+        mv, pu = write_mv_pu_files(tmp_path, rng)
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({
+            label: {"mode": "min_bitrate", "min_quality": 38.0, "min_fps": 25.0}
+            for label in ("tracking", "stationary", "zoom")
+        }))
+        code = run_cli(*{
+            "classify": ("classify", "--mv-file", mv, "--pu-file", pu, "--policy", policy,
+                         "--out", out),
+            "optimize": (*OPTIMIZE_SYNTHETIC, "--decisions", out),
+            "sweep": ("sweep", "--codec", "synthetic", "--frames", 150, "--fps", 50,
+                      "--out", out),
+        }[command])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert str(out) in captured.err
+        assert captured.out == ""  # no region classified, no summary, no table
 
 
 class TestUnreadableInputs:
