@@ -6,112 +6,6 @@ by regression-model inversion, compares codecs by BD-rate, and adapts
 constraints to camera activity.
 """
 
-from .activity import (
-    MotionFeatures,
-    classify,
-    detect_activity_change,
-    extract_mv_features,
-    leave_one_out,
-    select_bins,
-)
-from .bd import BdResult, RdCurve, bd_rate, pcc, srocc
-from .controller import (
-    ControllerState,
-    DecisionRecord,
-    bootstrap,
-    choose_gop_model,
-    run_segment_loop,
-    summarize,
-)
-from .encoders import (
-    CodecCommands,
-    EncoderError,
-    EncodingConfig,
-    ProcessEncoder,
-    SegmentMeasurement,
-    SyntheticEncoder,
-    SyntheticLaw,
-    default_law,
-    enumerate_configs,
-    synth_encode,
-)
-from .media import (
-    QualityScores,
-    RawVideo,
-    Segment,
-    parse_vmaf_log,
-    psnr611,
-    psnr_global,
-    split_segments,
-    ssim_mean,
-)
-from .models import RdModel, fit_log_poly, predict, predict_flagged, select_order
-from .pareto import ObjectivePoint, ParetoFront, dominates, pareto_front, select_mode_optimal
-from .solver import (
-    ConstraintSet,
-    QpSolution,
-    check_constraints,
-    local_search,
-    make_mode,
-    newton_solve,
-    round_qp,
-    solve_constrained,
-)
+from .encoders import default_law
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BdResult",
-    "CodecCommands",
-    "ConstraintSet",
-    "ControllerState",
-    "DecisionRecord",
-    "EncoderError",
-    "EncodingConfig",
-    "MotionFeatures",
-    "ObjectivePoint",
-    "ParetoFront",
-    "ProcessEncoder",
-    "QpSolution",
-    "QualityScores",
-    "RawVideo",
-    "RdCurve",
-    "RdModel",
-    "Segment",
-    "SegmentMeasurement",
-    "SyntheticEncoder",
-    "SyntheticLaw",
-    "bd_rate",
-    "bootstrap",
-    "check_constraints",
-    "choose_gop_model",
-    "classify",
-    "default_law",
-    "detect_activity_change",
-    "dominates",
-    "enumerate_configs",
-    "extract_mv_features",
-    "fit_log_poly",
-    "leave_one_out",
-    "local_search",
-    "make_mode",
-    "newton_solve",
-    "parse_vmaf_log",
-    "pareto_front",
-    "pcc",
-    "predict",
-    "predict_flagged",
-    "psnr611",
-    "psnr_global",
-    "round_qp",
-    "run_segment_loop",
-    "select_bins",
-    "select_mode_optimal",
-    "select_order",
-    "solve_constrained",
-    "split_segments",
-    "srocc",
-    "ssim_mean",
-    "summarize",
-    "synth_encode",
-]

@@ -23,7 +23,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -276,11 +276,15 @@ def read_pu_series(path: str | Path) -> list[float]:
 
     Frames count from the clip's first frame, 0, as MV frames and
     ``optimize``'s segments do, so the series' positions are frame numbers;
-    a missing frame is an error naming it.
+    a missing or repeated frame is an error naming it.
     """
-    counts = dict(records.read_rows(
+    counts: dict[int, float] = {}
+    for frame, count in records.read_rows(
         path, ActivityError, "a PU record", 2, lambda frame, count: (int(frame), float(count))
-    ))
+    ):
+        if frame in counts:
+            raise ActivityError(f"{path}: PU frame {frame} is given twice")
+        counts[frame] = count
     if not counts:
         raise ActivityError(f"{path}: empty PU series file")
     missing = next((f for f in range(len(counts)) if f not in counts), None)

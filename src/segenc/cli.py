@@ -133,9 +133,6 @@ def _add_video_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--segment-seconds", type=float, default=3.0)
     p.add_argument("--codec", default="synthetic")
     p.add_argument("--config", help="project config JSON with command templates")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel encodes for sweep; optimize's bootstrap encodes "
-                        "one configuration at a time and ignores it")
 
 
 def cmd_sweep(args) -> int:
@@ -376,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="exhaustively encode segments over the codec grid")
     _add_video_args(p)
+    p.add_argument("--workers", type=int, default=1,
+                   help="encodes run at once (the synthetic codec runs one at a time)")
     p.add_argument("--segment", type=int, help="only this segment index (default: all)")
     p.add_argument("--out", required=True, help="sweep table output (resumable)")
     p.set_defaults(func=cmd_sweep)

@@ -11,7 +11,7 @@ GOP/filter selection (the grouping rule): every fitted group solves the
 same constrained problem; the group whose solution achieves the best mode
 objective among constraint-satisfying groups wins, ties breaking toward
 lower predicted bitrate, then the structurally simpler GOP.  Chosen QPs are
-additionally kept within +/-4 of the previous segment's QP.
+additionally kept within +/-``QP_STEP_LIMIT`` of the previous segment's QP.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from .media import Segment
 from .models import RdModel, fit_log_poly, select_order
 from .pareto import ObjectivePoint, ParetoFront, pareto_front, select_mode_optimal
 from .solver import (
-    MODES,
     ConstraintSet,
     QpSolution,
+    candidate_rank,
     check_constraints,
     predict_objectives,
     solve_constrained,
@@ -38,6 +38,7 @@ from .solver import (
 GroupKey = tuple[str, Filters]  # (gop, filter flags)
 
 INTERCEPT_GAIN = 0.75  # share of each measured log-residual moved into c0
+QP_STEP_LIMIT = 4  # most a chosen QP may move from the previous segment's
 
 
 class ControllerError(RuntimeError):
@@ -201,7 +202,6 @@ def choose_gop_model(
     if not state.models:
         raise ControllerError("no fitted model groups")
     scored: list[tuple[tuple, GroupKey, dict[str, RdModel], QpSolution]] = []
-    mode = MODES[constraints.mode]
     for key in sorted(state.models, key=lambda k: (gop_rank(k[0]), k[1])):
         models = state.models[key]
         try:
@@ -215,10 +215,7 @@ def choose_gop_model(
         except ValueError:
             continue
         rank = (
-            not sol.satisfied,
-            sum(sol.violations.values()) if not sol.satisfied else 0.0,
-            mode.value(sol.predicted, constraints.quality_metric) if sol.satisfied else 0.0,
-            sol.predicted.get("bits", 0.0),
+            *candidate_rank(sol.predicted, sol.satisfied, sol.violations, constraints),
             gop_rank(key[0]),
             key[1],
         )
@@ -235,24 +232,19 @@ def run_segment_loop(
     constraints: ConstraintSet,
     *,
     fit_order: int | str = 2,
-    refit: str = "always",  # "always" | "on_violation"
-    qp_step_limit: int = 4,
     schedule: Callable[[Segment], ConstraintSet] | None = None,
 ) -> ControllerState:
     """Bootstrap on segment 0, then predict/encode/correct per segment.
 
     Each post-bootstrap segment triggers exactly one encode, after which the
-    chosen group's log-intercepts move toward the measurement (always, or
-    with ``refit="on_violation"`` only when it misses a bound); ``fit_order``
-    applies to the bootstrap fit alone.  Out-of-range estimates are clamped
-    to the grid and to +/-``qp_step_limit`` of the previous segment's QP.
-    Encoder failures mark the record failed and the loop continues on the
-    prior models.
+    chosen group's log-intercepts move toward the measurement;
+    ``fit_order`` applies to the bootstrap fit alone.  Out-of-range
+    estimates are clamped to the grid and to +/-``QP_STEP_LIMIT`` of the
+    previous segment's QP.  Encoder failures mark the record failed and the
+    loop continues on the prior models.
     """
     if not segments:
         raise ControllerError("no segments to encode")
-    if refit not in ("always", "on_violation"):
-        raise ControllerError(f"unknown refit policy {refit!r}")
 
     grid = encoder.grid()
     first_constraints = schedule(segments[0]) if schedule else constraints
@@ -273,8 +265,8 @@ def run_segment_loop(
         )
         gop, filters = key
 
-        lo = max(grid.qp_bounds[0], prev_qp - qp_step_limit)
-        hi = min(grid.qp_bounds[1], prev_qp + qp_step_limit)
+        lo = max(grid.qp_bounds[0], prev_qp - QP_STEP_LIMIT)
+        hi = min(grid.qp_bounds[1], prev_qp + QP_STEP_LIMIT)
         qp = min(max(sol.qp_int, lo), hi)
         clamped = qp != sol.qp_int
         if clamped:
@@ -310,12 +302,7 @@ def run_segment_loop(
         record.measured = measurement
         state.history.append(record)
         prev_qp, prev_gop = qp, gop
-
-        measured_values = {obj: measurement.objective(obj) for obj in models}
-        measured_values["enc_time"] = measurement.enc_time
-        measured_ok, _ = check_constraints(measured_values, current)
-        if refit == "always" or not measured_ok:
-            _refresh_group(state, key, measurement)
+        _refresh_group(state, key, measurement)
     return state
 
 

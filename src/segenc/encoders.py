@@ -31,7 +31,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol
 
 from . import media, records
 from .coefficients import REFERENCE_MODEL_SETS, ModelSet
@@ -504,20 +504,6 @@ def write_sweep_rows(path: str | Path, rows: Iterable[dict]) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text("".join(line + "\n" for line in lines))
     os.replace(tmp, path)
-
-
-def write_sweep_table(
-    path: str | Path,
-    measurements: Iterable[SegmentMeasurement],
-    *,
-    pareto_flags: Sequence[bool] | None = None,
-    append: bool = False,
-) -> None:
-    rows = list(measurements)
-    flags: Sequence[bool | None]
-    flags = pareto_flags if pareto_flags is not None else [None] * len(rows)
-    old = read_sweep_table(path) if append and Path(path).exists() else []
-    write_sweep_rows(path, old + [sweep_row(m, flag) for m, flag in zip(rows, flags)])
 
 
 def _sweep_record(*cells: str) -> dict:

@@ -205,8 +205,3 @@ def select_order(
 def predict(model: RdModel, qp: float) -> float:
     """exp of the fitted log-polynomial at qp."""
     return float(np.exp(model.log_value(qp)))
-
-
-def predict_flagged(model: RdModel, qp: float) -> tuple[float, bool]:
-    """Prediction plus an extrapolation flag when qp leaves the training range."""
-    return predict(model, qp), not model.in_range(qp)

@@ -291,11 +291,19 @@ def _evaluate(
     return pred, satisfied, violations
 
 
-def _candidate_sort_key(
-    qp: int, pred: Mapping[str, float], constraints: ConstraintSet
-) -> tuple[float, float, int]:
-    value = MODES[constraints.mode].value(pred, constraints.quality_metric)
-    return (value, pred.get("bits", 0.0), qp)
+def candidate_rank(
+    pred: Mapping[str, float],
+    satisfied: bool,
+    violations: Mapping[str, float],
+    constraints: ConstraintSet,
+) -> tuple[bool, float, float]:
+    """Sort key of a candidate: feasible first, then the mode objective
+    (infeasible: total overshoot), then lower predicted bitrate."""
+    if satisfied:
+        primary = MODES[constraints.mode].value(pred, constraints.quality_metric)
+    else:
+        primary = sum(violations.values())
+    return (not satisfied, primary, pred.get("bits", 0.0))
 
 
 def local_search(
@@ -318,10 +326,7 @@ def local_search(
     best: tuple[tuple, QpSolution] | None = None
     for qp in range(lo, hi + 1):
         pred, satisfied, violations = _evaluate(qp, models, constraints, segment_frames)
-        if satisfied:  # every feasible QP ranks before every infeasible one
-            rank = (False, _candidate_sort_key(qp, pred, constraints))
-        else:
-            rank = (True, (sum(violations.values()), pred.get("bits", 0.0), qp))
+        rank = (*candidate_rank(pred, satisfied, violations, constraints), qp)
         if best is None or rank < best[0]:
             best = (rank, QpSolution(float(center_qp), qp, pred, satisfied, violations))
     assert best is not None
@@ -400,7 +405,7 @@ def solve_constrained(
     for qi in candidates:
         pred, satisfied, violations = _evaluate(qi, models, constraints, segment_frames)
         if satisfied:
-            key = _candidate_sort_key(qi, pred, constraints)
+            key = (*candidate_rank(pred, True, violations, constraints), qi)
             feasible.append((key, QpSolution(qp_reals[0], qi, pred, True, violations)))
     if feasible:
         return min(feasible, key=lambda item: item[0])[1]

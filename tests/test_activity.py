@@ -402,3 +402,10 @@ class TestMvReader:
         with pytest.raises(ActivityError, match="frame 50 is missing") as info:
             read_pu_series(path)
         assert str(path) in str(info.value)
+
+    def test_pu_repeated_frame_is_named(self, tmp_path):
+        path = tmp_path / "pu.txt"
+        path.write_text("0 100\n0 200\n1 300\n")
+        with pytest.raises(ActivityError, match="frame 0 is given twice") as info:
+            read_pu_series(path)
+        assert str(path) in str(info.value)

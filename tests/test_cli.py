@@ -14,8 +14,9 @@ from segenc.encoders import (
     SyntheticEncoder,
     config_row_key,
     read_sweep_table,
+    sweep_row,
     sweep_row_key,
-    write_sweep_table,
+    write_sweep_rows,
 )
 from segenc.media import RawVideo, make_segments
 from segenc.pareto import ObjectivePoint, front_flags
@@ -76,7 +77,7 @@ class TestSweep:
             for m in off + on
         ]
         resumed = tmp_path / "resumed.tsv"
-        write_sweep_table(resumed, off + on, pareto_flags=front_flags(points))
+        write_sweep_rows(resumed, [sweep_row(m, f) for m, f in zip(off + on, front_flags(points))])
         partial = {sweep_row_key(r): r["pareto"] for r in read_sweep_table(resumed)}
         assert any(partial[key] != want[key] for key in partial)
 
@@ -287,6 +288,24 @@ class TestProjectConfigWorkers:
         video = RawVideo(2, 2, 5, np.zeros((1, 6), dtype=np.uint8))
         with cli._make_encoder(args, cfg, video) as encoder:
             assert encoder.threads == 3
+
+
+class TestWorkersFlag:
+    """``--workers`` sets how many encodes ``sweep`` runs at once; ``optimize`` has none."""
+
+    def test_optimize_rejects_it(self, capsys):
+        code = run_cli("optimize", "--codec", "synthetic", "--frames", 150, "--fps", 50,
+                       "--mode", "max_quality", "--max-bitrate-kbps", 9000, "--min-fps", 20,
+                       "--workers", 2)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--workers" in err
+
+    def test_sweep_takes_it(self, tmp_path):
+        out = tmp_path / "sweep.tsv"
+        assert run_cli("sweep", "--codec", "synthetic", "--frames", 150, "--fps", 50,
+                       "--workers", 2, "--out", out) == 0
+        assert len(read_sweep_table(out)) == len(SyntheticEncoder().configs())
 
 
 class TestMalformedSchedule:

@@ -224,11 +224,6 @@ class TestSegmentLoop:
         with pytest.raises(ControllerError, match="no segments"):
             run_segment_loop(SyntheticEncoder(), [], MAXQ)
 
-    def test_refit_on_violation_policy_runs(self):
-        enc = SyntheticEncoder()
-        state = run_segment_loop(enc, segments_500(), MAXQ, refit="on_violation")
-        assert len(state.history) == 4
-
     def test_auto_fit_order_still_meets_bounds(self):
         enc = SyntheticEncoder()
         state = run_segment_loop(enc, segments_500(), MAXQ, fit_order="auto")
@@ -322,18 +317,6 @@ class TestOnlineCorrection:
         run_segment_loop(SyntheticEncoder(), segments(50), MAXQ)
         assert at_bootstrap > 0
         assert len(calls) == 2 * at_bootstrap
-
-    def test_on_violation_keeps_models_of_a_segment_that_meets_its_bounds(self):
-        # 5 % cheaper content after segment 0: every segment meets its bounds,
-        # yet every measurement is off the bootstrap fit
-        boot = bootstrap(SyntheticEncoder(), segments_500()[0], MAXQ).models
-        gated = run_segment_loop(
-            SteppedEncoder(1, 0.95), segments_500(), MAXQ, refit="on_violation"
-        )
-        assert not any(misses_band(r.measured, MAXQ) for r in gated.history)
-        assert gated.models == boot
-        always = run_segment_loop(SteppedEncoder(1, 0.95), segments_500(), MAXQ)
-        assert always.models != boot
 
     def test_update_moves_only_the_intercept(self):
         state = bootstrap(SyntheticEncoder(), segments_500()[0], MAXQ)

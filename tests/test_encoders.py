@@ -21,9 +21,10 @@ from segenc.encoders import (
     enumerate_configs,
     grid_for,
     read_sweep_table,
+    sweep_row,
     sweep_row_key,
     synth_encode,
-    write_sweep_table,
+    write_sweep_rows,
 )
 from segenc.media import RawVideo, make_segments
 
@@ -350,7 +351,7 @@ class TestMeasurementAndSweepIO:
         seg = make_segments(150, 50)[0]
         rows = [enc.encode(cfg, seg) for cfg in enc.configs()]
         path = tmp_path / "sweep.tsv"
-        write_sweep_table(path, rows, pareto_flags=[True] * len(rows))
+        write_sweep_rows(path, [sweep_row(m, True) for m in rows])
         back = read_sweep_table(path)
         assert len(back) == len(rows)
         assert {sweep_row_key(rec) for rec in back} == {
@@ -360,17 +361,6 @@ class TestMeasurementAndSweepIO:
         }
         assert back[0]["bitrate_kbps"] == pytest.approx(rows[0].bitrate, rel=1e-5)
 
-    def test_append_mode_keeps_header_once(self, tmp_path):
-        enc = SyntheticEncoder()
-        seg = make_segments(150, 50)[0]
-        rows = [enc.encode(cfg, seg) for cfg in enc.configs()[:4]]
-        path = tmp_path / "sweep.tsv"
-        write_sweep_table(path, rows[:2])
-        write_sweep_table(path, rows[2:], append=True)
-        text = path.read_text()
-        assert text.count("#segenc-sweep") == 1
-        assert len(read_sweep_table(path)) == 4
-
     @pytest.mark.parametrize("edit, message", [
         (lambda cells: cells[:10], "sweep.tsv:4: 10 cells"),
         (lambda cells: cells[:6] + ["fast"] + cells[7:], "sweep.tsv:4: could not convert"),
@@ -379,7 +369,7 @@ class TestMeasurementAndSweepIO:
         enc = SyntheticEncoder()
         seg = make_segments(150, 50)[0]
         path = tmp_path / "sweep.tsv"
-        write_sweep_table(path, [enc.encode(cfg, seg) for cfg in enc.configs()[:3]])
+        write_sweep_rows(path, [sweep_row(enc.encode(cfg, seg)) for cfg in enc.configs()[:3]])
         lines = path.read_text().splitlines()
         lines[3] = "\t".join(edit(lines[3].split("\t")))
         path.write_text("\n".join(lines) + "\n")

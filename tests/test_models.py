@@ -12,7 +12,6 @@ from segenc.models import (
     coefficient_p_values,
     fit_log_poly,
     predict,
-    predict_flagged,
     select_order,
 )
 
@@ -206,10 +205,11 @@ class TestPredict:
 
     def test_extrapolation_flagged(self):
         model = fit_log_poly(samples_from(B6["bits"], X265_QPS), 2)
-        value, extrapolated = predict_flagged(model, 10.0)
+        value = predict(model, 10.0)
+        extrapolated = not model.in_range(10.0)
         assert extrapolated
         assert value > 0
-        _, extrapolated = predict_flagged(model, 28.0)
+        extrapolated = not model.in_range(28.0)
         assert not extrapolated
 
     def test_bits_fit_monotone_decreasing_over_range(self):
