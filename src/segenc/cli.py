@@ -9,7 +9,6 @@ import argparse
 import contextlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +43,10 @@ def _load_project_config(path: str | None) -> dict:
       templates (:class:`CodecCommands`);
     - ``tolerances``: ``tol_bitrate``, ``tol_quality``, ``tol_fps`` in [0, 0.5],
       each overridden by its ``optimize --tolerance-*`` flag;
-    - ``workers``: threads inside one encoder, the ``{threads}`` placeholder
-      (default 1); not ``--workers``, the encodes ``sweep`` runs at once.
+    - ``threads``: threads inside one encoder, the ``{threads}`` placeholder
+      (default 1); batches of encodes run ``usable cores // threads`` at once.
+      The key's old name, ``workers``, is an error, so that an old config does
+      not silently fall back to one thread.
     """
     if path is None:
         return {}
@@ -68,10 +69,12 @@ def _load_project_config(path: str | None) -> dict:
             codecs[name] = CodecCommands(**commands)
         except TypeError as exc:  # not an object, or a missing or unknown template
             raise DataError(f"project config {path}: codec {name!r}: {exc}") from None
-    workers = cfg.get("workers", 1)
+    if "workers" in cfg:
+        raise DataError(f"project config {path}: workers is now named threads")
+    threads = cfg.get("threads", 1)
     # bool is an int subclass; neither true nor false is a thread count
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise DataError(f"project config {path}: workers={workers!r} is not a positive integer")
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
+        raise DataError(f"project config {path}: threads={threads!r} is not a positive integer")
     return cfg
 
 
@@ -109,7 +112,7 @@ def _make_encoder(args, cfg: dict, video: media.RawVideo | None):
         args.codec,
         commands,
         video,
-        threads=cfg.get("workers", 1),
+        threads=cfg.get("threads", 1),
     ) as encoder:
         yield encoder
 
@@ -148,8 +151,9 @@ def cmd_sweep(args) -> int:
 def _sweep(args, encoder, segments: list[media.Segment]) -> int:
     """Encode every configuration not yet in the table; returns the failure count.
 
-    After each segment the table is rewritten with that segment's Pareto
-    flags recomputed over all of its rows, those already there and the new.
+    Encodes run ``encoder.workers`` at a time.  After each segment the table
+    is rewritten with that segment's Pareto flags recomputed over all of its
+    rows, those already there and the new.
     """
     if args.segment is not None:
         if not 0 <= args.segment < len(segments):
@@ -164,26 +168,21 @@ def _sweep(args, encoder, segments: list[media.Segment]) -> int:
     done = {encoders.sweep_row_key(rec) for rec in rows}
 
     failures = 0
-    pool = ThreadPoolExecutor(max_workers=1 if args.codec == "synthetic" else max(args.workers, 1))
-    try:
-        for segment in segments:
-            futures = [
-                pool.submit(encoder.encode, c, segment)
-                for c in encoder.configs()
-                if encoders.config_row_key(segment.index, c) not in done
-            ]
-            if not futures:
-                continue
-            for future in futures:  # in submission order, so rows keep the grid order
-                try:
-                    rows.append(encoders.sweep_row(future.result()))
-                except EncoderError as exc:
-                    print(f"encode failed: {exc}", file=sys.stderr)
+    for segment in segments:
+        jobs = [(c, segment) for c in encoder.configs()
+                if encoders.config_row_key(segment.index, c) not in done]
+        if not jobs:
+            continue
+        # an error or an interrupt closes the batch: no further encode starts
+        with contextlib.closing(encoders.encode_batch(encoder, jobs)) as results:
+            for result in results:  # in grid order, so rows keep it
+                if isinstance(result, EncoderError):
+                    print(f"encode failed: {result}", file=sys.stderr)
                     failures += 1
-            _flag_front([rec for rec in rows if rec["segment_id"] == segment.index])
-            encoders.write_sweep_rows(out, rows)
-    finally:  # an error or an interrupt drops the encodes not yet started
-        pool.shutdown(cancel_futures=True)
+                else:
+                    rows.append(encoders.sweep_row(result))
+        _flag_front([rec for rec in rows if rec["segment_id"] == segment.index])
+        encoders.write_sweep_rows(out, rows)
     return failures
 
 
@@ -373,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="exhaustively encode segments over the codec grid")
     _add_video_args(p)
-    p.add_argument("--workers", type=int, default=1,
-                   help="encodes run at once (the synthetic codec runs one at a time)")
     p.add_argument("--segment", type=int, help="only this segment index (default: all)")
     p.add_argument("--out", required=True, help="sweep table output (resumable)")
     p.set_defaults(func=cmd_sweep)

@@ -1,6 +1,7 @@
 """Segment-adaptive encoding loop.
 
-The first segment is swept exhaustively over the codec grid; per-GOP,
+The first segment is swept exhaustively over the codec grid, its
+configurations encoded concurrently (``encoders.encode_batch``); per-GOP,
 per-filter forward models are fit from its Pareto front.  Every later
 segment costs exactly one real encode: the constrained inverse solve picks
 (GOP, filter flags, QP), the segment is encoded once, the outcome is
@@ -16,13 +17,21 @@ additionally kept within +/-``QP_STEP_LIMIT`` of the previous segment's QP.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .encoders import Encoder, EncoderError, EncodingConfig, Filters, SegmentMeasurement
+from .encoders import (
+    Encoder,
+    EncoderError,
+    EncodingConfig,
+    Filters,
+    SegmentMeasurement,
+    encode_batch,
+)
 from .media import Segment
 from .models import RdModel, fit_log_poly, select_order
 from .pareto import ObjectivePoint, ParetoFront, pareto_front, select_mode_optimal
@@ -105,6 +114,23 @@ def _by_group(measured: Iterable[SegmentMeasurement]) -> dict[GroupKey, list[Seg
     return groups
 
 
+def _encode_all(
+    encoder: Encoder, jobs: Iterable[tuple[EncodingConfig, Segment]]
+) -> list[SegmentMeasurement]:
+    """Every job's measurement, in order.
+
+    The first failure in that order is raised once the encodes under way
+    have ended; no job after those is started.
+    """
+    measured = []
+    with contextlib.closing(encode_batch(encoder, jobs)) as results:
+        for result in results:
+            if isinstance(result, EncoderError):
+                raise result
+            measured.append(result)
+    return measured
+
+
 def bootstrap(
     encoder: Encoder,
     first_segment: Segment,
@@ -114,12 +140,14 @@ def bootstrap(
 ) -> ControllerState:
     """Exhaustive sweep of segment 0, Pareto front, per-group model fits.
 
+    The grid's encodes run concurrently, ``encoder.workers`` at a time; the
+    first to fail, in grid order, is raised and no later one is started.
     Groups whose Pareto share is too small to fit fall back to all sweep
     samples of that group.  The segment itself is credited with its
     mode-optimal front entry, checked against hard (zero-tolerance) bounds
     since measured values carry no prediction error.
     """
-    sweep = [encoder.encode(cfg, first_segment) for cfg in encoder.configs()]
+    sweep = _encode_all(encoder, ((cfg, first_segment) for cfg in encoder.configs()))
     if not sweep:
         raise ControllerError("insufficient data: empty sweep")
     objectives = _objectives_for(sweep)
@@ -384,7 +412,8 @@ def summarize(
 
     The baseline QP is the sweep-grid QP (default GOP, filters on) whose
     segment-0 bitrate lands closest to the requested target; the baseline
-    then encodes every segment at that constant configuration.
+    then encodes every segment at that constant configuration, ``workers``
+    at a time.
     """
     measured = [r.measured for r in state.history if r.measured is not None]
     if not measured:
@@ -401,7 +430,7 @@ def summarize(
         m for m in state.sweep if m.config.gop == default_gop and m.config.filters_on
     ] or state.sweep
     baseline_cfg = min(candidates, key=lambda m: abs(m.bitrate - baseline_bitrate_kbps)).config
-    base = [encoder.encode(baseline_cfg, seg) for seg in segments]
+    base = _encode_all(encoder, ((baseline_cfg, seg) for seg in segments))
     base_bitrate = _mean(m.bitrate for m in base)
     base_psnr = _mean(m.quality_psnr for m in base)
     base_vmaf = _mean_vmaf(base)

@@ -10,6 +10,9 @@ black boxes through shell command templates with ``{input}``, ``{output}``,
 Bitrate comes from the output payload size and encoding rate from the
 encoder's wall-clock time.  An encode maps only its own segment of the source
 file and drops it when measured, so memory follows one segment, not the clip.
+Every batch of independent encodes (a sweep, the bootstrap grid, the
+constant-QP baseline) runs through :func:`encode_batch`, on as many threads
+as the encoder's ``workers``.
 
 The synthetic encoder evaluates a known ground-truth law
 
@@ -29,9 +32,11 @@ import shutil
 import subprocess
 import tempfile
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol
+from typing import Iterable, Iterator, Mapping, Protocol
 
 from . import media, records
 from .coefficients import REFERENCE_MODEL_SETS, ModelSet
@@ -198,6 +203,11 @@ def enumerate_configs(codec: str) -> list[EncodingConfig]:
 class Encoder(Protocol):
     """What the sweep and the controller need from an encoder backend."""
 
+    @property
+    def workers(self) -> int:
+        """How many encodes :func:`encode_batch` runs at once."""
+        ...
+
     def grid(self) -> CodecGrid: ...
 
     def configs(self) -> list[EncodingConfig]: ...
@@ -296,6 +306,8 @@ def synth_encode(config: EncodingConfig, law: SyntheticLaw, segment: Segment) ->
 class SyntheticEncoder:
     """Encoder backend evaluating a SyntheticLaw; counts encode calls."""
 
+    workers = 1  # an encode is pure Python: threads would only take turns
+
     def __init__(self, law: SyntheticLaw | None = None):
         self.law = law if law is not None else default_law()
         self.encode_calls = 0
@@ -333,6 +345,14 @@ class ProcessEncoder:
     temporary directory under the workdir, removed once the encode is
     measured; ``close`` (or leaving a ``with`` block) removes a workdir the
     encoder created itself.
+
+    A batch runs ``workers = max(1, usable_cores() // threads)`` encodes at
+    once, ``threads`` being the ``{threads}`` each encoder is given.  A
+    worker either waits on its child or runs its own metrics, never both,
+    so no encoder process is oversubscribed and the encoding rate each
+    measures stays close to a serial one.  Resident memory
+    grows by one encode's working set (its segment, the decoded copy and
+    the metric buffers) per worker.
     """
 
     def __init__(
@@ -351,6 +371,10 @@ class ProcessEncoder:
         self._own_workdir = not workdir
         self._workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="segenc-"))
         self._workdir.mkdir(parents=True, exist_ok=True)
+
+    @property
+    def workers(self) -> int:
+        return max(1, usable_cores() // self.threads)
 
     def close(self) -> None:
         """Remove the workdir if this encoder created it; a given one stays."""
@@ -463,6 +487,38 @@ class ProcessEncoder:
             enc_time=elapsed,
             quality_ssim=ssim,
         )
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def encode_batch(
+    encoder: Encoder, jobs: Iterable[tuple[EncodingConfig, Segment]]
+) -> Iterator[SegmentMeasurement | EncoderError]:
+    """Encode independent (config, segment) jobs, ``encoder.workers`` at a time.
+
+    Yields each job's measurement, or the EncoderError its encode raised, in
+    the order of ``jobs``, whatever order the encodes finish in.  A job starts
+    only once the result ``encoder.workers`` places before it has been
+    yielded, so no more than ``workers`` encodes are ever under way.  A
+    caller that stops early closes the generator (``contextlib.closing``):
+    no further job starts, and the close returns once those under way end.
+    """
+    jobs, workers = iter(jobs), encoder.workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(encoder.encode, *job) for job in itertools.islice(jobs, workers))
+        while pending:
+            try:
+                result = pending.popleft().result()
+            except EncoderError as exc:
+                result = exc
+            yield result
+            pending.extend(pool.submit(encoder.encode, *job) for job in itertools.islice(jobs, 1))
 
 
 SWEEP_HEADER = "#segenc-sweep v1"

@@ -7,7 +7,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from segenc import cli, media
+from segenc import cli, encoders, media
 from segenc.cli import main
 from segenc.bd import write_rd_file
 from segenc.encoders import (
@@ -85,9 +85,11 @@ class TestSweep:
         assert {sweep_row_key(r): r["pareto"] for r in read_sweep_table(resumed)} == want
 
 
-    def test_parallel_process_sweep_loses_no_config(self, tmp_path, capsys):
+    def test_parallel_process_sweep_loses_no_config(self, tmp_path, capsys, monkeypatch):
         # x265 closed- and open-GOP encodes of one segment run side by side
-        # here; they once shared temp paths and lost or aborted encodes
+        # here, four at once on any machine; they once shared temp paths and
+        # lost or aborted encodes
+        monkeypatch.setattr(encoders, "usable_cores", lambda: 4)
         np.random.default_rng(3).integers(0, 256, (3, 96), dtype=np.uint8).tofile(tmp_path / "clip.yuv")
         run = "cp {input} {output}"  # a copy codec that starts fast: 400 runs here
         config = tmp_path / "project.json"
@@ -95,7 +97,7 @@ class TestSweep:
         out = tmp_path / "sweep.tsv"
         code = run_cli("sweep", "--codec", "x265", "--video", tmp_path / "clip.yuv",
                        "--width", 8, "--height", 8, "--fps", 3, "--config", config,
-                       "--workers", 4, "--out", out)
+                       "--out", out)
         assert code == 0
         assert len({sweep_row_key(r) for r in read_sweep_table(out)}) == 200
 
@@ -264,23 +266,33 @@ class TestProjectConfigTolerances:
 
 
 class TestProjectConfigWorkers:
-    def write_config(self, tmp_path, workers):
+    """The config's ``threads`` (once ``workers``): threads inside one encoder."""
+
+    def write_config(self, tmp_path, threads, key="threads"):
         path = tmp_path / "project.json"
-        path.write_text(json.dumps({"workers": workers, "codecs": {"vp9": {"encode": "true"}}}))
+        path.write_text(json.dumps({key: threads, "codecs": {"vp9": {"encode": "true"}}}))
         return path
 
-    @pytest.mark.parametrize("workers", ["x", -2, 0, 1.5, True, None],
-                             ids=["string", "negative", "zero", "float", "bool", "null"])
-    def test_is_data_error_naming_the_file(self, tmp_path, capsys, workers):
-        path = self.write_config(tmp_path, workers)
-        code = run_cli(
+    def optimize(self, path):
+        return run_cli(
             "optimize", "--codec", "synthetic", "--frames", 100, "--fps", 50,
             "--mode", "max_quality", "--max-bitrate-kbps", 9000, "--min-fps", 20,
             "--config", path,
         )
-        assert code == 2
+
+    @pytest.mark.parametrize("threads", ["x", -2, 0, 1.5, True, None],
+                             ids=["string", "negative", "zero", "float", "bool", "null"])
+    def test_is_data_error_naming_the_file(self, tmp_path, capsys, threads):
+        path = self.write_config(tmp_path, threads)
+        assert self.optimize(path) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "workers" in err
+        assert str(path) in err and "threads" in err
+
+    def test_old_key_is_data_error_naming_the_new(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, 3, key="workers")
+        assert self.optimize(path) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "threads" in err
 
     def test_positive_int_reaches_the_encoder(self, tmp_path):
         cfg = cli._load_project_config(str(self.write_config(tmp_path, 3)))
@@ -291,7 +303,7 @@ class TestProjectConfigWorkers:
 
 
 class TestWorkersFlag:
-    """``--workers`` sets how many encodes ``sweep`` runs at once; ``optimize`` has none."""
+    """No command takes ``--workers``: the encoder works out how many encodes run at once."""
 
     def test_optimize_rejects_it(self, capsys):
         code = run_cli("optimize", "--codec", "synthetic", "--frames", 150, "--fps", 50,
@@ -301,11 +313,13 @@ class TestWorkersFlag:
         err = capsys.readouterr().err
         assert "usage error" in err and "--workers" in err
 
-    def test_sweep_takes_it(self, tmp_path):
+    def test_sweep_rejects_it(self, tmp_path, capsys):
         out = tmp_path / "sweep.tsv"
         assert run_cli("sweep", "--codec", "synthetic", "--frames", 150, "--fps", 50,
-                       "--workers", 2, "--out", out) == 0
-        assert len(read_sweep_table(out)) == len(SyntheticEncoder().configs())
+                       "--workers", 2, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--workers" in err
+        assert not out.exists()
 
 
 class TestMalformedSchedule:
@@ -392,6 +406,44 @@ class TestProcessPath:
             w, h = self.WIDTH, self.HEIGHT
             assert m.quality_psnr == pytest.approx(refmetrics.psnr611(source, decoded, w, h), abs=1e-9)
             assert m.quality_ssim == pytest.approx(refmetrics.ssim(source, decoded, w, h), abs=1e-9)
+        assert list(tmpdir.iterdir()) == []
+
+    def test_failed_bootstrap_encode_stops_the_grid(self, tmp_path, rng, monkeypatch, capsys):
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+        monkeypatch.setattr(encoders, "usable_cores", lambda: 2)
+        started, left_at_close = [], []
+
+        class Recording(cli.ProcessEncoder):
+            def encode(self, config, segment):
+                started.append(config)
+                return super().encode(config, segment)
+
+            def close(self):
+                left_at_close.extend(self._workdir.iterdir())
+                super().close()
+
+        monkeypatch.setattr(cli, "ProcessEncoder", Recording)
+        self.write_clip(tmp_path / "clip.yuv", rng)
+        config = tmp_path / "project.json"
+        config.write_text(json.dumps({"codecs": {"vp9": {  # every QP 20 encode fails
+            "encode": "sh -c 'test {qp} -ne 20 && cp {input} {output}'",
+            "decode": "cp {input} {output}",
+        }}}))
+        code = run_cli(
+            "optimize", "--codec", "vp9", "--video", tmp_path / "clip.yuv",
+            "--width", self.WIDTH, "--height", self.HEIGHT, "--fps", self.FPS,
+            "--segment-seconds", 1, "--config", config,
+            "--mode", "min_bitrate", "--min-quality-db", 30.0, "--min-fps", 0.01,
+        )
+        assert code == 3
+        assert "encoder error" in capsys.readouterr().err
+        grid = encoders.enumerate_configs("vp9")
+        first_failure = next(i for i, c in enumerate(grid) if c.qp == 20)
+        # two workers: the failing encode and the one beside it, nothing queued after
+        assert sorted(started, key=grid.index) == grid[: first_failure + 2]
+        assert left_at_close == []
         assert list(tmpdir.iterdir()) == []
 
 

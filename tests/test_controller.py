@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import pytest
@@ -44,6 +45,18 @@ class FlakyEncoder(SyntheticEncoder):
         if segment.index in self.fail_segments:
             raise EncoderError("disk full")
         return m
+
+
+class UnevenEncoder(SyntheticEncoder):
+    """Three GOPs on ``workers`` threads; encodes take 0-4 ms and finish out of order."""
+
+    def __init__(self, workers):
+        super().__init__(SyntheticLaw({"B2": B2, "B3": B3, "B6": B6}))
+        self.workers = workers
+
+    def encode(self, config, segment):
+        time.sleep(0.002 * ((config.qp + segment.index) % 3))
+        return super().encode(config, segment)
 
 
 class TestBootstrap:
@@ -94,6 +107,30 @@ class TestBootstrap:
                            min_fps=25.0)
         with pytest.raises(ControllerError, match="ssim"):
             bootstrap(enc, segments_500()[0], cs)
+
+
+    def test_decision_log_is_the_same_at_any_worker_count(self, tmp_path):
+        logs = []
+        for workers in (1, 4):
+            state = run_segment_loop(UnevenEncoder(workers), segments(8), MAXQ)
+            write_decision_log(state, tmp_path / f"w{workers}.jsonl")
+            logs.append((tmp_path / f"w{workers}.jsonl").read_bytes())
+        assert logs[0] == logs[1]
+
+    def test_first_failure_in_grid_order_is_raised(self):
+        class FailsTwice(SyntheticEncoder):
+            workers = 3
+
+            def encode(self, config, segment):  # QP 22 fails after QP 25, beside it
+                if config.qp == 22 and config.filters_on:
+                    time.sleep(0.05)
+                    raise EncoderError("QP 22 failed")
+                if config.qp == 25 and not config.filters_on:
+                    raise EncoderError("QP 25 failed")
+                return super().encode(config, segment)
+
+        with pytest.raises(EncoderError, match="QP 22"):
+            bootstrap(FailsTwice(), segments_500()[0], MAXQ)
 
 
 class TestChooseGop:
@@ -244,6 +281,16 @@ class TestSummary:
         assert summary.bitrate_gain_pct >= 0.0
         text = summary.format()
         assert "Overall Bitrate Gain" in text
+
+    def test_summary_is_the_same_at_any_worker_count(self):
+        summaries = []
+        for workers in (1, 3):
+            enc = UnevenEncoder(workers)
+            state = run_segment_loop(enc, segments(8), MAXQ)
+            summaries.append(summarize(state, encoder=enc, segments=segments(8),
+                                       baseline_bitrate_kbps=11205.77))
+        assert summaries[0].baseline_qp is not None
+        assert summaries[0] == summaries[1]
 
     def test_decision_log_roundtrip(self, tmp_path):
         import json

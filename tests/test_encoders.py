@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import math
 import sys
 import tempfile
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from segenc.encoders import (
     SyntheticEncoder,
     SyntheticLaw,
     default_law,
+    encode_batch,
     enumerate_configs,
     grid_for,
     read_sweep_table,
@@ -269,6 +272,105 @@ class TestProcessEncoderFiles:
             enc.encode(enumerate_configs("x265")[0], seg)
             assert len(list(tmp_path.glob("segenc-*"))) == 1
         assert list(tmp_path.glob("segenc-*")) == []
+
+
+class ThreadedFake(SyntheticEncoder):
+    """Synthetic encodes on ``workers`` threads; records starts and concurrency."""
+
+    def __init__(self, workers, fail_at=()):
+        super().__init__()
+        self.workers = workers
+        self.fail_at = set(fail_at)
+        self.lock = threading.Lock()
+        self.started = []  # job indices, as the encodes begin
+        self.running = self.most_running = 0
+
+    def work(self, index):
+        pass
+
+    def encode(self, config, segment):
+        index = self.configs().index(config)
+        with self.lock:
+            self.started.append(index)
+            self.running += 1
+            self.most_running = max(self.most_running, self.running)
+        try:
+            self.work(index)
+            if index in self.fail_at:
+                raise EncoderError(f"job {index} failed")
+            return super().encode(config, segment)
+        finally:
+            with self.lock:
+                self.running -= 1
+
+
+def batch_jobs(encoder):
+    segment = make_segments(150, 50)[0]
+    return [(c, segment) for c in encoder.configs()]
+
+
+class TestEncodeBatch:
+    def test_results_in_submission_order_when_finishing_in_reverse(self):
+        events = [threading.Event() for _ in range(4)]
+
+        class Reverse(ThreadedFake):
+            def work(self, index):  # each job waits for the one after it to end
+                if index + 1 < len(events):
+                    assert events[index + 1].wait(timeout=10)
+
+            def encode(self, config, segment):
+                try:
+                    return super().encode(config, segment)
+                finally:
+                    events[self.configs().index(config)].set()
+
+        encoder = Reverse(workers=4)
+        jobs = batch_jobs(encoder)[:4]
+        results = list(encode_batch(encoder, jobs))
+        assert [m.config for m in results] == [c for c, _ in jobs]
+
+    def test_never_more_than_workers_under_way(self):
+        workers = 6  # more than the cores of a small machine
+        barrier = threading.Barrier(workers, timeout=10)
+
+        class Crowded(ThreadedFake):
+            def work(self, index):
+                if index < workers:  # the first six must all be under way together
+                    barrier.wait()
+
+        encoder = Crowded(workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = list(encode_batch(encoder, batch_jobs(encoder)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == len(encoder.configs())
+        assert encoder.most_running == workers
+        assert sorted(encoder.started) == list(range(len(encoder.configs())))
+
+    def test_a_failure_is_yielded_in_its_place(self):
+        encoder = ThreadedFake(workers=3, fail_at={2, 7})
+        results = list(encode_batch(encoder, batch_jobs(encoder)))
+        assert [i for i, r in enumerate(results) if isinstance(r, EncoderError)] == [2, 7]
+        assert "job 7 failed" in str(results[7])
+
+    def test_stopping_at_a_failure_starts_no_later_job(self):
+        encoder = ThreadedFake(workers=3, fail_at={5})
+        with contextlib.closing(encode_batch(encoder, batch_jobs(encoder))) as results:
+            for result in results:
+                if isinstance(result, EncoderError):
+                    break
+        # jobs 6 and 7 were under way beside job 5; the close waited for them
+        assert sorted(encoder.started) == list(range(8))
+        assert encoder.running == 0
+
+    def test_process_encoder_workers_fill_the_usable_cores(self, small_video, tmp_path, monkeypatch):
+        monkeypatch.setattr(encoders, "usable_cores", lambda: 8)
+        commands = CodecCommands(encode="true")
+        assert ProcessEncoder("vp9", commands, small_video, workdir=tmp_path).workers == 8
+        assert ProcessEncoder("vp9", commands, small_video, workdir=tmp_path, threads=3).workers == 2
+        assert ProcessEncoder("vp9", commands, small_video, workdir=tmp_path, threads=9).workers == 1
 
 
 PRESET_LOGGING_CODEC = textwrap.dedent(
