@@ -253,13 +253,13 @@ def read_mv_field(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     goes through the line reader, which gives the same values for what both
     accept and names file:line for a bad record.
     """
-    text = records.read_text(path, ActivityError)
+    text = records.read_text(path, ActivityError).replace(",", " ")
     # numpy splits lines and cells as the line reader does only in printable
-    # ASCII, tabs and newlines; a blank file gets the line reader's error
+    # ASCII, tabs and newlines; a blank file, commas counted as blanks, gets
+    # the line reader's error
     if text.strip() and text.isascii() and not text.encode("ascii").translate(None, _PLAIN_TEXT):
         try:
-            parsed = np.loadtxt(io.StringIO(text.replace(",", " ")), dtype=_MV_COLUMNS,
-                                comments=None, ndmin=1)
+            parsed = np.loadtxt(io.StringIO(text), dtype=_MV_COLUMNS, comments=None, ndmin=1)
         except ValueError:  # the line reader accepts the file or names the bad line
             pass
         else:

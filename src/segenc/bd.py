@@ -164,11 +164,10 @@ RD_COLUMNS = ("codec", "qp", "bitrate_kbps", "psnr611", "vmaf")
 
 
 def write_rd_file(path: str | Path, rows: Sequence[dict]) -> None:
-    with Path(path).open("w") as fh:
-        fh.write(RD_HEADER + "\n")
-        fh.write("\t".join(RD_COLUMNS) + "\n")
-        for row in rows:
-            fh.write("\t".join("-" if row[c] is None else str(row[c]) for c in RD_COLUMNS) + "\n")
+    """RD points as ``read_rd_file`` reads them; a None quality is a ``-`` cell."""
+    records.write_table(path, RD_HEADER, RD_COLUMNS, (
+        ["-" if row[c] is None else str(row[c]) for c in RD_COLUMNS] for row in rows
+    ))
 
 
 def _rd_record(codec: str, qp: str, bitrate_kbps: str, psnr611: str, vmaf: str) -> dict:

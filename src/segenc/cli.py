@@ -69,6 +69,10 @@ def _load_project_config(path: str | None) -> dict:
             codecs[name] = CodecCommands(**commands)
         except TypeError as exc:  # not an object, or a missing or unknown template
             raise DataError(f"project config {path}: codec {name!r}: {exc}") from None
+        for template, value in commands.items():  # only encode is required
+            if not isinstance(value, str) and (template == "encode" or value is not None):
+                raise DataError(f"project config {path}: codec {name!r}: "
+                                f"{template} template {value!r} is not a string")
     if "workers" in cfg:
         raise DataError(f"project config {path}: workers is now named threads")
     threads = cfg.get("threads", 1)
@@ -278,6 +282,12 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.k < 1:
+        raise UsageError(f"--k {args.k} is not a positive neighbour count")
+    if args.pu_window < 1:
+        raise UsageError(f"--pu-window {args.pu_window} is not a positive frame count")
+    if not args.pu_threshold >= 0.0:  # NaN fails this too
+        raise UsageError(f"--pu-threshold {args.pu_threshold} is not a non-negative number")
     _check_out_path(args.out)
     mv_frames, mv_vectors = activity.read_mv_field(args.mv_file)
     pu_series = activity.read_pu_series(args.pu_file)

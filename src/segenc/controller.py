@@ -34,13 +34,13 @@ from .encoders import (
 )
 from .media import Segment
 from .models import RdModel, fit_log_poly, select_order
-from .pareto import ObjectivePoint, ParetoFront, pareto_front, select_mode_optimal
+from .pareto import ObjectivePoint, pareto_front, select_mode_optimal
 from .solver import (
     ConstraintSet,
     QpSolution,
     candidate_rank,
     check_constraints,
-    predict_objectives,
+    evaluate,
     solve_constrained,
 )
 
@@ -94,7 +94,6 @@ class ControllerState:
     models: dict[GroupKey, dict[str, RdModel]] = field(default_factory=dict)
     samples: dict[GroupKey, dict[str, list[tuple[int, float]]]] = field(default_factory=dict)
     history: list[DecisionRecord] = field(default_factory=list)
-    front: ParetoFront | None = None
     sweep: list[SegmentMeasurement] = field(default_factory=list)
 
 
@@ -161,13 +160,13 @@ def bootstrap(
         (m, ObjectivePoint.from_enc_rate(m.objective(metric), m.bitrate, m.enc_rate))
         for m in sweep
     ]
-    front = pareto_front(points, cost_kind="rate")
+    front = pareto_front(points)
 
     by_group_front = _by_group(m for m, _ in front.entries)
     by_group_all = _by_group(sweep)
 
     min_order = 2 if fit_order == "auto" else int(fit_order)
-    state = ControllerState(constraints=constraints, front=front, sweep=sweep)
+    state = ControllerState(constraints=constraints, sweep=sweep)
     for key, members in by_group_all.items():
         chosen = by_group_front.get(key, [])
         if len({m.config.qp for m in chosen}) < min_order + 1:
@@ -190,8 +189,7 @@ def bootstrap(
         raise ControllerError("insufficient data: no group had enough samples to fit")
 
     chosen_m, _ = select_mode_optimal(
-        front, constraints.mode, constraints.without_tolerances(),
-        frames=first_segment.frame_count,
+        front, constraints.without_tolerances(), frames=first_segment.frame_count
     )
     predicted = {
         obj: chosen_m.objective(obj) for obj in objectives
@@ -298,8 +296,7 @@ def run_segment_loop(
         qp = min(max(sol.qp_int, lo), hi)
         clamped = qp != sol.qp_int
         if clamped:
-            predicted = predict_objectives(models, qp, segment_frames=segment.frame_count)
-            satisfied, violations = check_constraints(predicted, current)
+            predicted, satisfied, violations = evaluate(qp, models, current, segment.frame_count)
         else:
             predicted, satisfied, violations = sol.predicted, sol.satisfied, sol.violations
 

@@ -542,7 +542,7 @@ def sweep_row(m: SegmentMeasurement, pareto: bool | None = None) -> dict:
     return rec
 
 
-def _row_line(rec: dict) -> str:
+def _row_cells(rec: dict) -> list[str]:
     cells = []
     for col in SWEEP_COLUMNS:
         value = rec.get(col)
@@ -550,16 +550,12 @@ def _row_line(rec: dict) -> str:
             cells.append("-")
         else:
             cells.append(f"{value:.6g}" if col in _NUMBER_COLUMNS else str(value))
-    return "\t".join(cells)
+    return cells
 
 
 def write_sweep_rows(path: str | Path, rows: Iterable[dict]) -> None:
-    """Replace the table with these rows, through a temporary file and ``os.replace``."""
-    path = Path(path)
-    lines = [SWEEP_HEADER, "\t".join(SWEEP_COLUMNS), *map(_row_line, rows)]
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("".join(line + "\n" for line in lines))
-    os.replace(tmp, path)
+    """Replace the table with these rows (``records.write_table``)."""
+    records.write_table(path, SWEEP_HEADER, SWEEP_COLUMNS, map(_row_cells, rows))
 
 
 def _sweep_record(*cells: str) -> dict:

@@ -1,11 +1,10 @@
 """Three-objective Pareto dominance, front extraction, mode selection.
 
 Objectives are canonical-minimization internally: quality is maximized,
-bitrate and encoding cost are minimized.  Encoding cost is either seconds
-of encoding time or 1/fps, so the same dominance routine serves both the
-time-oriented and the rate-oriented formulation.  Mode selection reads the
-mode's objective from ``solver.MODES`` and checks each entry's values,
-quality keyed by the constraint set's quality metric, against its bounds.
+bitrate and encoding cost (1/fps) are minimized.  Mode selection ranks
+each front entry's values, quality keyed by the constraint set's quality
+metric, with ``solver.candidate_rank``, the key the inverse solve ranks
+its candidates by, so both mean the same by a mode's best.
 """
 
 from __future__ import annotations
@@ -15,14 +14,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .solver import ConstraintSet, check_constraints, get_mode
+from .solver import ConstraintSet, candidate_rank, check_constraints
 
 
 @dataclass(frozen=True, slots=True)
 class ObjectivePoint:
     quality: float  # maximize
     bitrate: float  # minimize
-    enc_cost: float  # minimize: seconds, or 1/fps in rate orientation
+    enc_cost: float  # minimize: 1/fps
 
     def __post_init__(self) -> None:
         for v in (self.quality, self.bitrate, self.enc_cost):
@@ -37,11 +36,6 @@ class ObjectivePoint:
     def enc_rate(self) -> float:
         return 1.0 / self.enc_cost
 
-    def cost(self, objective: str) -> float:
-        """A mode objective ("quality", "bits" or "enc_rate") as a value to minimise."""
-        costs = {"quality": -self.quality, "bits": self.bitrate, "enc_rate": self.enc_cost}
-        return costs[objective]
-
 
 def dominates(a: ObjectivePoint, b: ObjectivePoint) -> bool:
     """a at least as good everywhere and strictly better somewhere."""
@@ -53,7 +47,6 @@ def dominates(a: ObjectivePoint, b: ObjectivePoint) -> bool:
 @dataclass(frozen=True, slots=True)
 class ParetoFront:
     entries: tuple[tuple[Any, ObjectivePoint], ...]
-    cost_kind: str = "rate"  # "rate" (1/fps) or "time" (seconds)
 
 
 def pareto_indices(points: Sequence[tuple[Any, ObjectivePoint]]) -> list[int]:
@@ -94,56 +87,37 @@ def pareto_indices(points: Sequence[tuple[Any, ObjectivePoint]]) -> list[int]:
     return keep
 
 
-def pareto_front(
-    points: Sequence[tuple[Any, ObjectivePoint]], *, cost_kind: str = "rate"
-) -> ParetoFront:
+def pareto_front(points: Sequence[tuple[Any, ObjectivePoint]]) -> ParetoFront:
     """Exactly the non-dominated subset; equal objective vectors coexist."""
-    keep = pareto_indices(points)
-    return ParetoFront(tuple(points[i] for i in keep), cost_kind=cost_kind)
-
-
-def _entry_predictions(
-    point: ObjectivePoint, cost_kind: str, frames: int | None, quality_metric: str
-) -> dict[str, float]:
-    pred = {quality_metric: point.quality, "bits": point.bitrate}
-    if cost_kind == "time":
-        pred["enc_time"] = point.enc_cost
-    else:
-        pred["enc_rate"] = point.enc_rate
-        if frames is not None:
-            pred["enc_time"] = frames / point.enc_rate
-    return pred
+    return ParetoFront(tuple(points[i] for i in pareto_indices(points)))
 
 
 def select_mode_optimal(
-    front: ParetoFront, mode: str, constraints: ConstraintSet, *, frames: int | None = None
+    front: ParetoFront, constraints: ConstraintSet, *, frames: int | None = None
 ) -> tuple[Any, ObjectivePoint]:
-    """Best feasible entry for the mode; least-violation fallback otherwise.
+    """The entry ``solver.candidate_rank`` ranks first under the constraints' mode.
 
-    Feasibility uses the constraint set as given (including its tolerance
-    bands; pass a zero-tolerance set for hard bounds).  On a rate-oriented
-    front, ``frames`` (the encoded frame count) gives each entry its
-    encoding time, which a ``max_time_s`` bound needs.  Ties break toward
-    lower bitrate, then lower QP, then input order.
+    That is the best feasible entry on the mode objective, or the
+    least-violation entry when none is feasible.  Feasibility uses the
+    constraint set as given (including its tolerance bands; pass a
+    zero-tolerance set for hard bounds).  ``frames`` (the encoded frame
+    count) gives each entry its encoding time, which a ``max_time_s`` bound
+    needs.  Ties break toward lower bitrate, then lower QP, then input order.
     """
     if not front.entries:
         raise ValueError("empty front")
-    objective = get_mode(mode).objective
 
-    feasible: list[tuple[tuple, Any, ObjectivePoint]] = []
-    infeasible: list[tuple[tuple, Any, ObjectivePoint]] = []
-    for i, (config, point) in enumerate(front.entries):
-        satisfied, violations = check_constraints(
-            _entry_predictions(point, front.cost_kind, frames, constraints.quality_metric),
-            constraints,
-        )
-        if satisfied:
-            key = (point.cost(objective), point.bitrate, getattr(config, "qp", 0), i)
-            feasible.append((key, config, point))
-        else:
-            infeasible.append(((sum(violations.values()), i), config, point))
-    _, config, point = min(feasible or infeasible, key=lambda item: item[0])
-    return config, point
+    def rank(item: tuple[int, tuple[Any, ObjectivePoint]]) -> tuple:
+        i, (config, point) = item
+        pred = {constraints.quality_metric: point.quality, "bits": point.bitrate,
+                "enc_rate": point.enc_rate}
+        if frames is not None:
+            pred["enc_time"] = frames / point.enc_rate
+        satisfied, violations = check_constraints(pred, constraints)
+        return (*candidate_rank(pred, satisfied, violations, constraints),
+                getattr(config, "qp", 0), i)
+
+    return min(enumerate(front.entries), key=rank)[1]
 
 
 def front_flags(points: Sequence[tuple[Any, ObjectivePoint]]) -> list[bool]:

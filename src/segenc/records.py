@@ -1,6 +1,6 @@
-"""Reading segenc's input files: text, JSON and line records.
+"""Reading segenc's input files: text, JSON and line records; writing its tables.
 
-Each function raises the error class its caller passes, so every module
+Each reader raises the error class its caller passes, so every module
 keeps its own data error; every message names the file, and a bad record
 its line too.  Only the standard library is imported.
 """
@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
 def read_text(path: str | Path, error: type[Exception]) -> str:
@@ -63,6 +64,22 @@ def read_rows(path: str | Path, error: type[Exception], record: str, width: int,
         text = line.strip()
         if text and not (sep is None and text.startswith("#")):
             raise error(f"{path}:{number}: {problem}")
+
+
+def write_table(path: str | Path, header: str, columns: Sequence[str],
+                rows_of_cells: Iterable[Sequence[str]]) -> None:
+    """Replace ``path`` with a marked table ``read_rows`` reads back.
+
+    The file holds the marker line ``header``, the tab-joined ``columns``,
+    then one line of tab-joined cells per row.  It is written to a
+    temporary file beside ``path`` and moved over it with ``os.replace``,
+    so a reader sees the old table or the new one, never part of one.
+    """
+    path = Path(path)
+    lines = [header, "\t".join(columns), *("\t".join(cells) for cells in rows_of_cells)]
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def finite(cell: str) -> float:

@@ -36,7 +36,7 @@ class Mode:
     objective: str  # "quality" (resolved via quality_metric), "bits" or "enc_rate"
     maximize: bool
     dominant: str  # the bound inverted first
-    round_up: bool | None  # None: toward faster encodes, as the rate orientation says
+    round_up: bool  # how a solved QP between two integers rounds
 
     def value(self, predicted: Mapping[str, float], quality_metric: str) -> float:
         """The mode objective of a prediction, as a value to minimise."""
@@ -47,7 +47,7 @@ class Mode:
 MODES: dict[str, Mode] = {
     "max_quality": Mode("quality", maximize=True, dominant="max_bitrate_kbps", round_up=False),
     "min_bitrate": Mode("bits", maximize=False, dominant="min_quality", round_up=True),
-    "max_enc_rate": Mode("enc_rate", maximize=True, dominant="min_quality", round_up=None),
+    "max_enc_rate": Mode("enc_rate", maximize=True, dominant="min_quality", round_up=True),
 }
 MODES["min_enc_time"] = MODES["max_enc_rate"]  # the paper's earlier name for it
 
@@ -245,21 +245,18 @@ def _polish(model: RdModel, q: float, log_target: float) -> float:
     return q
 
 
-def round_qp(qp_real: float, mode: str, *, rate_increases_with_qp: bool = True) -> int:
+def round_qp(qp_real: float, mode: str) -> int:
     """Mode-aware integer rounding of a solved QP.
 
     Maximum-quality rounds toward higher quality (down, since quality falls
     with QP); minimum-bitrate rounds toward lower bitrate (up, since bits
-    fall with QP); rate/time modes round toward faster encodes.  Exact
-    integers pass through unchanged.
+    fall with QP); rate/time modes round toward faster encodes (up, since
+    encoding rate rises with QP).  Exact integers pass through unchanged.
     """
-    round_up = get_mode(mode).round_up
     nearest = round(qp_real)
     if abs(qp_real - nearest) < 1e-9:
         return int(nearest)
-    if round_up is None:
-        round_up = rate_increases_with_qp
-    return int(math.ceil(qp_real) if round_up else math.floor(qp_real))
+    return int(math.ceil(qp_real) if get_mode(mode).round_up else math.floor(qp_real))
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,22 +268,17 @@ class QpSolution:
     violations: dict[str, float]
 
 
-def predict_objectives(
-    models: Mapping[str, RdModel], qp: float, *, segment_frames: int | None = None
-) -> dict[str, float]:
-    pred = {name: predict(model, qp) for name, model in models.items()}
-    if segment_frames is not None and "enc_rate" in pred:
-        pred["enc_time"] = segment_frames / pred["enc_rate"]
-    return pred
-
-
-def _evaluate(
+def evaluate(
     qp: int,
     models: Mapping[str, RdModel],
     constraints: ConstraintSet,
     segment_frames: int | None,
 ) -> tuple[dict[str, float], bool, dict[str, float]]:
-    pred = predict_objectives(models, qp, segment_frames=segment_frames)
+    """The models' predictions at ``qp``, encoding time too when
+    ``segment_frames`` is given, and their constraint check."""
+    pred = {name: predict(model, qp) for name, model in models.items()}
+    if segment_frames is not None and "enc_rate" in pred:
+        pred["enc_time"] = segment_frames / pred["enc_rate"]
     satisfied, violations = check_constraints(pred, constraints)
     return pred, satisfied, violations
 
@@ -325,7 +317,7 @@ def local_search(
     hi = min(center_qp + radius, qp_bounds[1])
     best: tuple[tuple, QpSolution] | None = None
     for qp in range(lo, hi + 1):
-        pred, satisfied, violations = _evaluate(qp, models, constraints, segment_frames)
+        pred, satisfied, violations = evaluate(qp, models, constraints, segment_frames)
         rank = (*candidate_rank(pred, satisfied, violations, constraints), qp)
         if best is None or rank < best[0]:
             best = (rank, QpSolution(float(center_qp), qp, pred, satisfied, violations))
@@ -403,7 +395,7 @@ def solve_constrained(
 
     feasible = []
     for qi in candidates:
-        pred, satisfied, violations = _evaluate(qi, models, constraints, segment_frames)
+        pred, satisfied, violations = evaluate(qi, models, constraints, segment_frames)
         if satisfied:
             key = (*candidate_rank(pred, True, violations, constraints), qi)
             feasible.append((key, QpSolution(qp_reals[0], qi, pred, True, violations)))

@@ -362,6 +362,7 @@ class TestMvReader:
     @example(text="1_0 0 0 1_5 -nan\n")
     @example(text="\u0663 0 0 1 \u0662\n")  # non-ASCII digits, which only int() and float() read
     @example(text=" \t\n")
+    @example(text=",\n")  # blank once commas split cells: numpy read no records
     def test_same_values_or_both_reject(self, tmp_path, text):
         path = tmp_path / "field.mv"
         path.write_bytes(text.encode())

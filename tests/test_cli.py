@@ -225,6 +225,30 @@ class TestProjectConfigCodecs:
         assert str(path) in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("commands, template", [
+        ({"encode": 3}, "encode"),
+        ({"encode": None}, "encode"),
+        ({"encode": "cp {input} {output}", "decode": 3}, "decode"),
+        ({"encode": "cp {input} {output}", "vmaf": ["x"]}, "vmaf"),
+    ], ids=["encode-number", "encode-null", "decode-number", "vmaf-list"])
+    def test_template_not_a_string_names_codec_and_template(
+        self, tmp_path, capsys, commands, template
+    ):
+        # an encode template of 3 used to reach shlex.split: AttributeError, a traceback
+        path = tmp_path / "project.json"
+        path.write_text(json.dumps({"codecs": {"vp9": commands}}))
+        clip = tmp_path / "clip.yuv"
+        clip.write_bytes(bytes(6 * 10))  # ten 2x2 frames
+        code = run_cli(
+            "optimize", "--codec", "vp9", "--video", clip, "--width", 2, "--height", 2,
+            "--fps", 5, "--segment-seconds", 1, "--mode", "max_quality",
+            "--max-bitrate-kbps", 9000, "--min-fps", 20, "--config", path,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'vp9'" in err and f"{template} template" in err
+
+
 class TestProjectConfigTolerances:
     def run_optimize(self, tmp_path, monkeypatch, tolerances, *flags):
         seen = []
@@ -530,6 +554,24 @@ class TestClassify:
         code = run_cli("classify", "--mv-file", mv_path, "--pu-file", pu_path,
                        "--policy", policy_path)
         assert code == 2
+
+
+class TestClassifyFlags:
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", 0), ("--k", -2),
+        ("--pu-window", 0), ("--pu-window", -25),
+        ("--pu-threshold", -0.3), ("--pu-threshold", "nan"),
+    ], ids=["k-zero", "k-negative", "pu-window-zero", "pu-window-negative",
+            "pu-threshold-negative", "pu-threshold-nan"])
+    def test_out_of_range_is_usage_error_before_any_read(self, tmp_path, capsys, flag, value):
+        # no input exists, so reading one first would be a data error (exit 2);
+        # before the check, --k 0 and --pu-window 0 ended in tracebacks and
+        # the negative values ran on, silently misread
+        missing = tmp_path / "missing"
+        code = run_cli("classify", "--mv-file", missing, "--pu-file", missing,
+                       "--policy", missing, flag, value)
+        assert code == 1
+        assert flag in capsys.readouterr().err
 
 
 class TestMalformedActivityFiles:

@@ -47,19 +47,17 @@ def test_make_mode(bounds):
 
 
 @pytest.mark.parametrize("bounds", BOUNDS)
-@pytest.mark.parametrize("cost_kind", ["rate", "time"])
-def test_select_mode_optimal(bounds, cost_kind):
+def test_select_mode_optimal(bounds):
     encoder = SyntheticEncoder(LAW)
     segment = make_segments(150, 50)[0]
     sweep = [encoder.encode(c, segment) for c in encoder.configs()]
     metric = bounds.get("quality_metric", "psnr")
-    cost = (lambda m: m.enc_time) if cost_kind == "time" else (lambda m: 1.0 / m.enc_rate)
-    front = pareto_front(
-        [(m.config, ObjectivePoint(m.objective(metric), m.bitrate, cost(m))) for m in sweep],
-        cost_kind=cost_kind,
-    )
+    front = pareto_front([
+        (m.config, ObjectivePoint.from_enc_rate(m.objective(metric), m.bitrate, m.enc_rate))
+        for m in sweep
+    ])
     rate, time = each_alias(
-        lambda mode: select_mode_optimal(front, mode, make_mode(mode, bounds), frames=150)
+        lambda mode: select_mode_optimal(front, make_mode(mode, bounds), frames=150)
     )
     assert rate == time
 

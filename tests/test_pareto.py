@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from segenc.pareto import (
     ObjectivePoint,
+    ParetoFront,
     dominates,
     front_flags,
     pareto_front,
@@ -120,8 +121,11 @@ class TestFrontExtraction:
         assert [i for i, f in enumerate(flags) if f] == brute_force_front(pts)
 
 
+FRAMES = 150  # encoded frames of every TestModeSelection entry
+
+
 def time_point(quality, bitrate, time_s):
-    return ObjectivePoint(quality, bitrate, time_s)
+    return ObjectivePoint.from_enc_rate(quality, bitrate, FRAMES / time_s)
 
 
 class TestModeSelection:
@@ -133,27 +137,25 @@ class TestModeSelection:
     ]
 
     def _front(self):
-        from segenc.pareto import ParetoFront
-
-        return ParetoFront(tuple(self.FRONT), cost_kind="time")
+        return ParetoFront(tuple(self.FRONT))
 
     def test_max_quality_under_time_and_rate_bounds(self):
         cs = ConstraintSet(mode="max_quality", max_bitrate_kbps=5000.0, max_time_s=5.0,
                            tol_bitrate=0.0, tol_fps=0.0, tol_quality=0.0)
-        config, point = select_mode_optimal(self._front(), "max_quality", cs)
+        config, point = select_mode_optimal(self._front(), cs, frames=FRAMES)
         assert config == "B2/superfast"
         assert point.bitrate == pytest.approx(4167.3)
 
     def test_single_satisfying_entry_wins_regardless(self):
         cs = ConstraintSet(mode="max_quality", max_bitrate_kbps=500.0, max_time_s=5.0,
                            tol_bitrate=0.0, tol_fps=0.0, tol_quality=0.0)
-        config, _ = select_mode_optimal(self._front(), "max_quality", cs)
+        config, _ = select_mode_optimal(self._front(), cs, frames=FRAMES)
         assert config == "ZL/faster"
 
     def test_least_violation_fallback(self):
         cs = ConstraintSet(mode="min_bitrate", min_quality=50.0,
                            tol_bitrate=0.0, tol_fps=0.0, tol_quality=0.0)
-        config, _ = select_mode_optimal(self._front(), "min_bitrate", cs)
+        config, _ = select_mode_optimal(self._front(), cs, frames=FRAMES)
         # relative quality shortfalls: 1-42.8/50 = 0.144 is the smallest
         assert config == "B2/superfast"
 
@@ -161,6 +163,64 @@ class TestModeSelection:
         pts = random_points(rng, 200)
         front = pareto_front(pts)
         cs = ConstraintSet(mode="min_bitrate", min_quality=35.0)
-        cfg, point = select_mode_optimal(front, "min_bitrate", cs)
+        cfg, point = select_mode_optimal(front, cs)
         feasible = [p for _, p in front.entries if p.quality >= 35.0 * 0.95]
         assert not any(dominates(other, point) for other in feasible)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_pick_matches_oracle(self, data):
+        """Against an oracle that reads each bound and mode objective afresh."""
+        n = data.draw(st.integers(1, 30))
+        scale = st.floats(0.5, 2.0)  # of each bound against its centre
+        pts = [
+            (i, ObjectivePoint.from_enc_rate(
+                data.draw(st.floats(25.0, 50.0)), data.draw(st.floats(100.0, 20000.0)),
+                data.draw(st.floats(1.0, 300.0))))
+            for i in range(n)
+        ]
+        front = pareto_front(pts)
+        frames = data.draw(st.integers(1, 300))
+        # bound name -> (value at the centre of the drawn entries, value of a point,
+        # upper bound?, tolerance field)
+        oracle = {
+            "max_bitrate_kbps": (3000.0, lambda p: p.bitrate, True, "tol_bitrate"),
+            "min_quality": (37.0, lambda p: p.quality, False, "tol_quality"),
+            "min_fps": (50.0, lambda p: p.enc_rate, False, "tol_fps"),
+            "max_time_s": (3.0, lambda p: frames / p.enc_rate, True, "tol_fps"),
+        }
+        names = data.draw(st.sets(st.sampled_from(sorted(oracle)), min_size=1))
+        bounds = {name: oracle[name][0] * data.draw(scale) for name in names}
+        tol = {name: data.draw(st.floats(0.0, 0.5))
+               for name in ("tol_bitrate", "tol_quality", "tol_fps")}
+        mode = data.draw(st.sampled_from(["max_quality", "min_bitrate",
+                                          "max_enc_rate", "min_enc_time"]))
+        cs = ConstraintSet(mode=mode, **bounds, **tol)
+
+        def overshoots(p):
+            """Relative overshoot of every bound whose tolerance band p falls outside."""
+            out = []
+            for name, bound in bounds.items():
+                _, value_of, upper, tol_field = oracle[name]
+                value, band = value_of(p), tol[tol_field]
+                if upper and value > bound * (1.0 + band):
+                    out.append(value / bound - 1.0)
+                elif not upper and value < bound * (1.0 - band):
+                    out.append(1.0 - value / bound)
+            return out
+
+        gain = {  # the mode objective, larger is better
+            "max_quality": lambda p: p.quality,
+            "min_bitrate": lambda p: -p.bitrate,
+            "max_enc_rate": lambda p: p.enc_rate,
+            "min_enc_time": lambda p: p.enc_rate,
+        }[mode]
+        _, pick = select_mode_optimal(front, cs, frames=frames)
+        entries = [p for _, p in front.entries]
+        feasible = [p for p in entries if not overshoots(p)]
+        if feasible:
+            assert not overshoots(pick)
+            assert all(gain(p) <= gain(pick) for p in feasible)
+        else:
+            least = min(sum(overshoots(p)) for p in entries)
+            assert sum(overshoots(pick)) == pytest.approx(least, rel=1e-12)

@@ -47,6 +47,17 @@ class TestReadRows:
             list(records.read_rows(path, Bad, "a pair", 2, pair))
 
 
+class TestWriteTable:
+    def test_replaces_the_file_with_a_table_read_rows_reads(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("old\n")
+        records.write_table(path, "#mark v1", ("a", "b"), [("0", "1.5"), ["1", "2.5"]])
+        assert path.read_text() == "#mark v1\na\tb\n0\t1.5\n1\t2.5\n"
+        rows = list(records.read_rows(path, Bad, "a pair", 2, pair, marker=("#mark", "a table")))
+        assert rows == [(0, 1.5), (1, 2.5)]
+        assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]  # no temporary file left
+
+
 class TestReadText:
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_file_raises_the_callers_error(self, tmp_path, kind):

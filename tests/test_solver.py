@@ -115,8 +115,7 @@ class TestRounding:
             assert round_qp(30.0, mode) == 30
 
     def test_rate_mode_follows_orientation(self):
-        assert round_qp(27.2, "max_enc_rate", rate_increases_with_qp=True) == 28
-        assert round_qp(27.8, "max_enc_rate", rate_increases_with_qp=False) == 27
+        assert round_qp(27.2, "max_enc_rate") == 28
 
 
 class TestCheckConstraints:
