@@ -31,7 +31,7 @@ from . import records
 from .solver import ConstraintSet
 
 HIST_BINS = 25
-DEFAULT_MAG_MAX = 32.0  # pixels/frame covered by the magnitude histogram
+MAG_MAX = 32.0  # pixels/frame covered by the magnitude histogram
 PU_WINDOW = 25  # frames per prediction-unit averaging window
 PU_THRESHOLD = 0.30
 BIN_ALPHA = 0.05
@@ -60,12 +60,10 @@ class MotionFeatures:
 def extract_mv_features(
     mv_field: Sequence[tuple[float, float]] | np.ndarray,
     pu_count: float = 0.0,
-    *,
-    mag_max: float = DEFAULT_MAG_MAX,
 ) -> MotionFeatures:
     """Histograms and CDFs of MV magnitudes and orientations.
 
-    Magnitude bins uniformly span [0, mag_max] (larger magnitudes land in
+    Magnitude bins uniformly span [0, MAG_MAX] (larger magnitudes land in
     the top bin); orientation bins span [-pi, pi).  Histograms are
     normalized to sum to 1, or stay all-zero when the field is empty.
     """
@@ -77,8 +75,8 @@ def extract_mv_features(
     oris = np.arctan2(field[:, 1], field[:, 0])
     oris[oris >= math.pi] = -math.pi  # fold +pi onto -pi: same direction
 
-    mag_hist, _ = np.histogram(np.clip(mags, 0.0, np.nextafter(mag_max, 0.0)),
-                               bins=HIST_BINS, range=(0.0, mag_max))
+    mag_hist, _ = np.histogram(np.clip(mags, 0.0, np.nextafter(MAG_MAX, 0.0)),
+                               bins=HIST_BINS, range=(0.0, MAG_MAX))
     ori_hist, _ = np.histogram(oris, bins=HIST_BINS, range=(-math.pi, math.pi))
     mag_hist = mag_hist / field.shape[0]
     ori_hist = ori_hist / field.shape[0]
@@ -122,10 +120,8 @@ def _bin_p_values(a_vecs: np.ndarray, b_vecs: np.ndarray) -> np.ndarray:
 def select_bins(
     training: Sequence[tuple[str, MotionFeatures]],
     pair: tuple[str, str],
-    *,
-    alpha: float = BIN_ALPHA,
 ) -> BinSelection:
-    """Feature-vector bins whose two-class distributions differ (U test).
+    """Feature-vector bins whose two-class distributions differ (U test at ``BIN_ALPHA``).
 
     Bins with identical values across both classes cannot discriminate and
     are skipped.  When no bin reaches significance the selection falls back
@@ -135,7 +131,7 @@ def select_bins(
     b_vecs = np.array([f.vector() for lbl, f in training if lbl == pair[1]])
     if len(a_vecs) < 2 or len(b_vecs) < 2:
         raise ActivityError(f"need at least 2 samples per label for pair {pair}")
-    selected = np.flatnonzero(_bin_p_values(a_vecs, b_vecs) <= alpha).tolist()
+    selected = np.flatnonzero(_bin_p_values(a_vecs, b_vecs) <= BIN_ALPHA).tolist()
     if not selected:
         return BinSelection(tuple(range(a_vecs.shape[1])), fallback=True)
     return BinSelection(tuple(selected))

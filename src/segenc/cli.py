@@ -157,7 +157,8 @@ def _sweep(args, encoder, segments: list[media.Segment]) -> int:
 
     Encodes run ``encoder.workers`` at a time.  After each segment the table
     is rewritten with that segment's Pareto flags recomputed over all of its
-    rows, those already there and the new.
+    rows, those already there and the new, on the bootstrap's front points
+    (``pareto.measured_points``): VMAF when every row has it, else PSNR.
     """
     if args.segment is not None:
         if not 0 <= args.segment < len(segments):
@@ -169,7 +170,7 @@ def _sweep(args, encoder, segments: list[media.Segment]) -> int:
         rows = encoders.read_sweep_table(out) if out.exists() else []
     except EncoderError as exc:
         raise DataError(str(exc)) from None
-    done = {encoders.sweep_row_key(rec) for rec in rows}
+    done = {encoders.config_row_key(m.segment_index, m.config) for m, _ in rows}
 
     failures = 0
     for segment in segments:
@@ -183,24 +184,16 @@ def _sweep(args, encoder, segments: list[media.Segment]) -> int:
                 if isinstance(result, EncoderError):
                     print(f"encode failed: {result}", file=sys.stderr)
                     failures += 1
-                else:
-                    rows.append(encoders.sweep_row(result))
-        _flag_front([rec for rec in rows if rec["segment_id"] == segment.index])
-        encoders.write_sweep_rows(out, rows)
+                else:  # as the table holds it, so a resumed run flags the same
+                    rows.append((encoders.table_measurement(result), None))
+        measured = [m for m, _ in rows if m.segment_index == segment.index]
+        if measured:
+            metric = "vmaf" if all(m.quality_vmaf is not None for m in measured) else "psnr"
+            flags = iter(pareto.front_flags(pareto.measured_points(measured, metric)))
+            rows = [(m, next(flags) if m.segment_index == segment.index else flag)
+                    for m, flag in rows]
+        encoders.write_sweep_table(out, rows)
     return failures
-
-
-def _flag_front(rows: list[dict]) -> None:
-    """Mark the rows on the front of one segment, on VMAF when every row has it."""
-    if not rows:
-        return
-    metric = "vmaf" if all(rec["vmaf"] is not None for rec in rows) else "psnr_db"
-    points = [
-        (rec, pareto.ObjectivePoint.from_enc_rate(rec[metric], rec["bitrate_kbps"], rec["fps"]))
-        for rec in rows
-    ]
-    for rec, on_front in zip(rows, pareto.front_flags(points)):
-        rec["pareto"] = "1" if on_front else "0"
 
 
 def _constraints_from_args(args, tolerances: dict[str, float]) -> ConstraintSet:
@@ -314,7 +307,7 @@ def cmd_classify(args) -> int:
         print(f"frames [{start}, {end}): {label}")
     out = {"version": 1, "regions": regions}
     if args.out:
-        Path(args.out).write_text(json.dumps(out, indent=2))
+        records.replace_text(args.out, json.dumps(out, indent=2))
         print(f"constraint schedule: {args.out}")
     return EXIT_OK
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from . import records
 from .encoders import (
     Encoder,
     EncoderError,
@@ -34,7 +35,7 @@ from .encoders import (
 )
 from .media import Segment
 from .models import RdModel, fit_log_poly, select_order
-from .pareto import ObjectivePoint, pareto_front, select_mode_optimal
+from .pareto import measured_points, pareto_front, select_mode_optimal
 from .solver import (
     ConstraintSet,
     QpSolution,
@@ -90,7 +91,6 @@ class ControllerState:
     """``models`` are the bootstrap fits, intercept-corrected after encodes;
     ``samples`` are the samples of the bootstrap fits only."""
 
-    constraints: ConstraintSet
     models: dict[GroupKey, dict[str, RdModel]] = field(default_factory=dict)
     samples: dict[GroupKey, dict[str, list[tuple[int, float]]]] = field(default_factory=dict)
     history: list[DecisionRecord] = field(default_factory=list)
@@ -156,17 +156,13 @@ def bootstrap(
             f"constraint metric {metric!r} is not measured by this encoder"
         )
 
-    points = [
-        (m, ObjectivePoint.from_enc_rate(m.objective(metric), m.bitrate, m.enc_rate))
-        for m in sweep
-    ]
-    front = pareto_front(points)
+    front = pareto_front(measured_points(sweep, metric))
 
     by_group_front = _by_group(m for m, _ in front.entries)
     by_group_all = _by_group(sweep)
 
     min_order = 2 if fit_order == "auto" else int(fit_order)
-    state = ControllerState(constraints=constraints, sweep=sweep)
+    state = ControllerState(sweep=sweep)
     for key, members in by_group_all.items():
         chosen = by_group_front.get(key, [])
         if len({m.config.qp for m in chosen}) < min_order + 1:
@@ -174,12 +170,11 @@ def bootstrap(
         samples = {
             obj: [(m.config.qp, m.objective(obj)) for m in chosen] for obj in objectives
         }
-        gop, filters = key
         try:
             state.models[key] = {
-                obj: select_order(pairs, objective=obj, gop=gop, filters=filters)
+                obj: select_order(pairs, objective=obj)
                 if fit_order == "auto"
-                else fit_log_poly(pairs, int(fit_order), objective=obj, gop=gop, filters=filters)
+                else fit_log_poly(pairs, int(fit_order), objective=obj)
                 for obj, pairs in samples.items()
             }
         except ValueError:
@@ -280,7 +275,6 @@ def run_segment_loop(
 
     for segment in segments[1:]:
         current = schedule(segment) if schedule else constraints
-        state.constraints = current
         key, models, sol = choose_gop_model(
             state,
             current,
@@ -446,7 +440,6 @@ def summarize(
 
 
 def write_decision_log(state: ControllerState, path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        fh.write("#segenc-decisions v1\n")
-        for record in state.history:
-            fh.write(json.dumps(record.to_record()) + "\n")
+    """Replace ``path`` (``records.replace_text``) with one JSON line per record."""
+    lines = ["#segenc-decisions v1", *(json.dumps(r.to_record()) for r in state.history)]
+    records.replace_text(path, "".join(line + "\n" for line in lines))

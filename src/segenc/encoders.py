@@ -12,7 +12,9 @@ encoder's wall-clock time.  An encode maps only its own segment of the source
 file and drops it when measured, so memory follows one segment, not the clip.
 Every batch of independent encodes (a sweep, the bootstrap grid, the
 constant-QP baseline) runs through :func:`encode_batch`, on as many threads
-as the encoder's ``workers``.
+as the encoder's ``workers``.  A sweep table row is a measurement and its
+Pareto flag: :func:`read_sweep_table` gives ``(SegmentMeasurement, flag)``
+pairs and :func:`write_sweep_table` writes them back byte for byte.
 
 The synthetic encoder evaluates a known ground-truth law
 
@@ -89,9 +91,9 @@ class SegmentMeasurement:
     quality_ssim: float | None = None
 
     def __post_init__(self) -> None:
-        if self.bitrate <= 0:
+        if not self.bitrate > 0:  # NaN fails this too
             raise EncoderError("bitrate must be positive")
-        if self.enc_rate <= 0:
+        if not self.enc_rate > 0:
             raise EncoderError("encoding rate must be positive")
 
     def numbers(self) -> dict[str, float | None]:
@@ -529,59 +531,59 @@ SWEEP_COLUMNS = (
 _NUMBER_COLUMNS = ("bitrate_kbps", "psnr_db", "vmaf", "fps", "enc_time_s")
 
 
-def sweep_row(m: SegmentMeasurement, pareto: bool | None = None) -> dict:
-    """A measurement as its table row holds it: numbers to 6 significant digits."""
+SweepRow = tuple[SegmentMeasurement, bool | None]  # a measurement and its Pareto flag
+_FLAG_CELLS = {True: "1", False: "0", None: "-"}  # a row's Pareto flag and its cell
+_CELL_FLAGS = {cell: flag for flag, cell in _FLAG_CELLS.items()}
+
+
+def _cells(m: SegmentMeasurement, flag: bool | None) -> list[str]:
+    """The row's cells: numbers to 6 significant digits, ``-`` for none."""
     c = m.config
-    rec = {
-        "segment_id": m.segment_index, "codec": c.codec, "gop": c.gop,
-        "gop_type": c.gop_type or "-", "qp": c.qp, "filters": c.filters_label(),
-        "pareto": "-" if pareto is None else ("1" if pareto else "0"),
-    }
-    for col, value in m.numbers().items():
-        rec[col] = None if value is None else float(f"{value:.6g}")
-    return rec
+    numbers = ("-" if v is None else f"{v:.6g}" for v in m.numbers().values())
+    return [str(m.segment_index), c.codec, c.gop, c.gop_type or "-", str(c.qp),
+            c.filters_label(), *numbers, _FLAG_CELLS[flag]]
 
 
-def _row_cells(rec: dict) -> list[str]:
-    cells = []
-    for col in SWEEP_COLUMNS:
-        value = rec.get(col)
-        if value is None:
-            cells.append("-")
-        else:
-            cells.append(f"{value:.6g}" if col in _NUMBER_COLUMNS else str(value))
-    return cells
+def _table_row(segment: str, codec: str, gop: str, gop_type: str, qp: str, filters: str,
+               bitrate: str, psnr: str, vmaf: str, fps: str, enc_time: str, flag: str) -> SweepRow:
+    pairs = [] if filters == "-" else [item.partition("=") for item in filters.split(",")]
+    config = EncodingConfig(codec, gop, int(qp), tuple((name, on == "on") for name, _, on in pairs),
+                            records.optional(str, gop_type))
+    if config.filters_label() != filters:
+        raise ValueError(f"filters {filters!r} are not name=on or name=off")
+    if flag not in _CELL_FLAGS:
+        raise ValueError(f"pareto {flag!r} is not 1, 0 or -")
+    try:  # fps may be inf: a zero-time encode's rate
+        m = SegmentMeasurement(config, int(segment), records.finite(bitrate), records.finite(psnr),
+                               records.optional(records.finite, vmaf), float(fps),
+                               records.finite(enc_time))
+    except EncoderError as exc:
+        raise ValueError(str(exc)) from None
+    return m, _CELL_FLAGS[flag]
 
 
-def write_sweep_rows(path: str | Path, rows: Iterable[dict]) -> None:
-    """Replace the table with these rows (``records.write_table``)."""
-    records.write_table(path, SWEEP_HEADER, SWEEP_COLUMNS, map(_row_cells, rows))
+def read_sweep_table(path: str | Path) -> list[SweepRow]:
+    """Each row's measurement (no SSIM or preset: the table holds neither) and flag.
 
-
-def _sweep_record(*cells: str) -> dict:
-    rec = dict(zip(SWEEP_COLUMNS, cells))
-    rec["segment_id"] = int(rec["segment_id"])
-    rec["qp"] = int(rec["qp"])
-    for key in ("bitrate_kbps", "psnr_db", "fps", "enc_time_s"):
-        rec[key] = float(rec[key])
-    rec["vmaf"] = records.optional(float, rec["vmaf"])
-    return rec
-
-
-def read_sweep_table(path: str | Path) -> list[dict]:
-    """Rows as dicts keyed by SWEEP_COLUMNS; the first line must be ``#segenc-sweep``."""
+    The flag is True, False or None for a Pareto cell ``1``, ``0`` or ``-``.
+    The first line must be ``#segenc-sweep``.  A row that is no valid
+    measurement raises EncoderError at file:line.
+    """
     return list(records.read_rows(path, EncoderError, "a sweep row", len(SWEEP_COLUMNS),
-                                  _sweep_record, marker=("#segenc-sweep", "a sweep table")))
+                                  _table_row, marker=("#segenc-sweep", "a sweep table")))
 
 
-def sweep_row_key(rec: dict) -> tuple:
-    return (
-        rec["segment_id"], rec["codec"], rec["gop"],
-        rec.get("gop_type", "-") or "-", rec["qp"], rec["filters"],
-    )
+def write_sweep_table(path: str | Path, rows: Iterable[SweepRow]) -> None:
+    """Replace the table with these rows (``records.write_table``)."""
+    records.write_table(path, SWEEP_HEADER, SWEEP_COLUMNS, (_cells(*row) for row in rows))
+
+
+def table_measurement(m: SegmentMeasurement) -> SegmentMeasurement:
+    """``m`` as :func:`read_sweep_table` gives back its row."""
+    return _table_row(*_cells(m, None))[0]
 
 
 def config_row_key(segment_index: int, config: EncodingConfig) -> tuple:
-    """``sweep_row_key`` of the row that encoding ``config`` on the segment adds."""
+    """A sweep row's key: the segment and the config less its preset, which the table lacks."""
     c = config
-    return (segment_index, c.codec, c.gop, c.gop_type or "-", c.qp, c.filters_label())
+    return (segment_index, c.codec, c.gop, c.gop_type, c.qp, c.filters)

@@ -46,8 +46,6 @@ class RdModel:
     qp_max: float
     diagnostics: FitDiagnostics
     objective: str | None = None
-    gop: str | None = None
-    filters: tuple[tuple[str, bool], ...] | None = None
     low_confidence: bool = False
 
     @property
@@ -104,8 +102,6 @@ def fit_log_poly(
     order: int,
     *,
     objective: str | None = None,
-    gop: str | None = None,
-    filters: tuple[tuple[str, bool], ...] | None = None,
 ) -> RdModel:
     """Least-squares fit of ln(value) on {1, QP, ..., QP^order}.
 
@@ -142,8 +138,6 @@ def fit_log_poly(
         qp_max=float(qp.max()),
         diagnostics=FitDiagnostics(adjusted, float(np.max(np.abs(residuals)))),
         objective=objective,
-        gop=gop,
-        filters=filters,
     )
 
 
@@ -176,14 +170,9 @@ def coefficient_p_values(
 
 
 def select_order(
-    samples: Iterable[tuple[float, float]],
-    *,
-    threshold: float = ADJ_R2_THRESHOLD,
-    objective: str | None = None,
-    gop: str | None = None,
-    filters: tuple[tuple[str, bool], ...] | None = None,
+    samples: Iterable[tuple[float, float]], *, objective: str | None = None
 ) -> RdModel:
-    """Lowest order in {1, 2, 3} whose adjusted R^2 reaches the threshold.
+    """Lowest order in {1, 2, 3} whose adjusted R^2 reaches ``ADJ_R2_THRESHOLD``.
 
     When no order reaches it, the highest feasible order is returned with
     ``low_confidence`` set rather than rejected: fits with adjusted R^2
@@ -196,8 +185,8 @@ def select_order(
     if not feasible:
         raise FitError("rank-deficient design: need at least 2 distinct QPs")
     for order in feasible:
-        model = fit_log_poly(pairs, order, objective=objective, gop=gop, filters=filters)
-        if model.adjusted_r2 >= threshold:
+        model = fit_log_poly(pairs, order, objective=objective)
+        if model.adjusted_r2 >= ADJ_R2_THRESHOLD:
             return model
     return replace(model, low_confidence=True)
 

@@ -10,7 +10,7 @@ its candidates by, so both mean the same by a mode's best.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -42,6 +42,12 @@ def dominates(a: ObjectivePoint, b: ObjectivePoint) -> bool:
     if a.quality < b.quality or a.bitrate > b.bitrate or a.enc_cost > b.enc_cost:
         return False
     return a.quality > b.quality or a.bitrate < b.bitrate or a.enc_cost < b.enc_cost
+
+
+def measured_points(measured: Iterable[Any], metric: str) -> list[tuple[Any, ObjectivePoint]]:
+    """Each ``SegmentMeasurement`` with its objective point, quality read as ``metric``."""
+    return [(m, ObjectivePoint.from_enc_rate(m.objective(metric), m.bitrate, m.enc_rate))
+            for m in measured]
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,4 +1,4 @@
-"""Reading segenc's input files: text, JSON and line records; writing its tables.
+"""Reading segenc's input files: text, JSON and line records; replacing its outputs.
 
 Each reader raises the error class its caller passes, so every module
 keeps its own data error; every message names the file, and a bad record
@@ -66,20 +66,28 @@ def read_rows(path: str | Path, error: type[Exception], record: str, width: int,
             raise error(f"{path}:{number}: {problem}")
 
 
-def write_table(path: str | Path, header: str, columns: Sequence[str],
-                rows_of_cells: Iterable[Sequence[str]]) -> None:
-    """Replace ``path`` with a marked table ``read_rows`` reads back.
+def replace_text(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text``, UTF-8 encoded.
 
-    The file holds the marker line ``header``, the tab-joined ``columns``,
-    then one line of tab-joined cells per row.  It is written to a
-    temporary file beside ``path`` and moved over it with ``os.replace``,
-    so a reader sees the old table or the new one, never part of one.
+    The text is written to a temporary file beside ``path`` and moved over
+    it with ``os.replace``, so a reader sees the old file or the new one,
+    never part of one.
     """
     path = Path(path)
-    lines = [header, "\t".join(columns), *("\t".join(cells) for cells in rows_of_cells)]
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def write_table(path: str | Path, header: str, columns: Sequence[str],
+                rows_of_cells: Iterable[Sequence[str]]) -> None:
+    """Replace ``path`` (``replace_text``) with a marked table ``read_rows`` reads back.
+
+    The file holds the marker line ``header``, the tab-joined ``columns``,
+    then one line of tab-joined cells per row.
+    """
+    lines = [header, "\t".join(columns), *("\t".join(cells) for cells in rows_of_cells)]
+    replace_text(path, "".join(line + "\n" for line in lines))
 
 
 def finite(cell: str) -> float:

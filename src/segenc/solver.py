@@ -27,6 +27,7 @@ from .models import RdModel, predict
 
 DEFAULT_NEWTON_START = 27.0
 NEWTON_MAX_ITER = 50
+LOCAL_SEARCH_RADIUS = 4  # QPs either side of the solved QP that local search tries
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,13 +180,12 @@ def newton_solve(
     target: float,
     *,
     start: float = DEFAULT_NEWTON_START,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> float:
     """QP at which the model predicts ``target``, by Newton iteration.
 
     Iterates q <- q - f(q)/f'(q) from the configured start until the
     iterate has numerically converged (which subsumes the
-    rounded-QP-unchanged stopping rule) or ``max_iter`` is reached.  A zero
+    rounded-QP-unchanged stopping rule) or ``NEWTON_MAX_ITER`` is reached.  A zero
     derivative at an iterate is perturbed by +0.5.  When the iteration does
     not land on an in-range root, the polynomial's real roots are examined
     directly; with several in-range roots the one nearest the start is
@@ -200,7 +200,7 @@ def newton_solve(
 
     q = min(max(start, model.qp_min), model.qp_max)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         f = model.log_value(q) - log_target
         fp = model.log_slope(q)
         if fp == 0.0:
@@ -304,17 +304,16 @@ def local_search(
     constraints: ConstraintSet,
     *,
     qp_bounds: tuple[int, int],
-    radius: int = 4,
     segment_frames: int | None = None,
 ) -> QpSolution:
-    """Evaluate integer QPs in [center-4, center+4] within the grid.
+    """Evaluate integer QPs within ``LOCAL_SEARCH_RADIUS`` of the center, within the grid.
 
     Constraint-satisfying candidates compete on the mode objective (ties:
     lower bitrate, then lower QP); when none satisfies, the least-violation
     candidate is returned flagged unsatisfied.
     """
-    lo = max(center_qp - radius, qp_bounds[0])
-    hi = min(center_qp + radius, qp_bounds[1])
+    lo = max(center_qp - LOCAL_SEARCH_RADIUS, qp_bounds[0])
+    hi = min(center_qp + LOCAL_SEARCH_RADIUS, qp_bounds[1])
     best: tuple[tuple, QpSolution] | None = None
     for qp in range(lo, hi + 1):
         pred, satisfied, violations = evaluate(qp, models, constraints, segment_frames)

@@ -14,12 +14,11 @@ from segenc.encoders import (
     SyntheticEncoder,
     config_row_key,
     read_sweep_table,
-    sweep_row,
-    sweep_row_key,
-    write_sweep_rows,
+    table_measurement,
+    write_sweep_table,
 )
 from segenc.media import RawVideo, make_segments
-from segenc.pareto import ObjectivePoint, front_flags
+from segenc.pareto import front_flags, measured_points
 
 import lossy_codec
 import refmetrics
@@ -39,8 +38,8 @@ class TestSweep:
         assert code == 0
         rows = read_sweep_table(out)
         assert len(rows) == 20  # 1 GOP x 10 QPs x 2 filter settings
-        assert {r["pareto"] for r in rows} <= {"0", "1"}
-        assert any(r["pareto"] == "1" for r in rows)
+        assert {flag for _, flag in rows} <= {False, True}
+        assert any(flag for _, flag in rows)
 
     def test_rerun_is_idempotent(self, tmp_path):
         out = tmp_path / "sweep.tsv"
@@ -55,14 +54,14 @@ class TestSweep:
         out = tmp_path / "sweep.tsv"
         run_cli("sweep", "--codec", "synthetic", "--frames", 500, "--fps", 50, "--out", out)
         rows = read_sweep_table(out)
-        assert {r["segment_id"] for r in rows} == {0, 1, 2, 3}
+        assert {m.segment_index for m, _ in rows} == {0, 1, 2, 3}
         assert len(rows) == 80
 
     def test_resume_flags_the_whole_segment(self, tmp_path):
         sweep = ("sweep", "--codec", "synthetic", "--frames", 150, "--fps", 50, "--segment", 0)
         fresh = tmp_path / "fresh.tsv"
         assert run_cli(*sweep, "--out", fresh) == 0
-        want = {sweep_row_key(r): r["pareto"] for r in read_sweep_table(fresh)}
+        want = {config_row_key(0, m.config): flag for m, flag in read_sweep_table(fresh)}
 
         # a sweep that died midway: the rows off the front and three on it,
         # flagged over those rows alone
@@ -70,19 +69,17 @@ class TestSweep:
         segment = make_segments(150, 50)[0]
         measured = {config_row_key(0, c): encoder.encode(c, segment)
                     for c in encoder.configs()}
-        off = [m for key, m in measured.items() if want[key] == "0"]
-        on = [m for key, m in measured.items() if want[key] == "1"][:3]
-        points = [
-            (m, ObjectivePoint.from_enc_rate(m.quality_psnr, m.bitrate, m.enc_rate))
-            for m in off + on
-        ]
+        off = [m for key, m in measured.items() if not want[key]]
+        on = [m for key, m in measured.items() if want[key]][:3]
         resumed = tmp_path / "resumed.tsv"
-        write_sweep_rows(resumed, [sweep_row(m, f) for m, f in zip(off + on, front_flags(points))])
-        partial = {sweep_row_key(r): r["pareto"] for r in read_sweep_table(resumed)}
+        flags = front_flags(measured_points(off + on, "psnr"))
+        write_sweep_table(resumed, zip(map(table_measurement, off + on), flags))
+        partial = {config_row_key(0, m.config): flag for m, flag in read_sweep_table(resumed)}
         assert any(partial[key] != want[key] for key in partial)
 
         assert run_cli(*sweep, "--out", resumed) == 0
-        assert {sweep_row_key(r): r["pareto"] for r in read_sweep_table(resumed)} == want
+        assert {config_row_key(0, m.config): flag
+                for m, flag in read_sweep_table(resumed)} == want
 
 
     def test_parallel_process_sweep_loses_no_config(self, tmp_path, capsys, monkeypatch):
@@ -99,7 +96,8 @@ class TestSweep:
                        "--width", 8, "--height", 8, "--fps", 3, "--config", config,
                        "--out", out)
         assert code == 0
-        assert len({sweep_row_key(r) for r in read_sweep_table(out)}) == 200
+        assert len({config_row_key(m.segment_index, m.config)
+                    for m, _ in read_sweep_table(out)}) == 200
 
 
 class TestOptimize:
@@ -952,8 +950,40 @@ class TestBadVmafLog:
         assert err.count("bad VMAF log") == 10
         rows = read_sweep_table(out)
         assert len(rows) == 90
-        assert {r["qp"] for r in rows} == set(range(20, 53, 4))
-        assert {r["vmaf"] for r in rows} == {90.0}
+        assert {m.config.qp for m, _ in rows} == set(range(20, 53, 4))
+        assert {m.quality_vmaf for m, _ in rows} == {90.0}
+
+
+class TestResumedTableChecks:
+    SWEEP = ("sweep", "--codec", "synthetic", "--frames", 150, "--fps", 50)
+
+    def _resumable_table(self, out, column, cell):
+        """A finished one-segment table cut to 10 of its 20 rows, its second row edited."""
+        assert run_cli(*self.SWEEP, "--out", out) == 0
+        lines = out.read_text().splitlines()[:12]
+        cells = lines[3].split("\t")
+        cells[column] = cell
+        lines[3] = "\t".join(cells)
+        out.write_text("".join(line + "\n" for line in lines))
+
+    @pytest.mark.parametrize("column, cell", [
+        (9, "0"), (6, "nan"), (6, "-5"), (5, "deblock=maybe"), (11, "yes"),
+    ], ids=["zero-fps", "nan-bitrate", "negative-bitrate", "bad-filter", "bad-pareto"])
+    def test_bad_row_is_a_data_error_and_the_table_stays(self, tmp_path, capsys, column, cell):
+        out = tmp_path / "sweep.tsv"
+        self._resumable_table(out, column, cell)
+        before = out.read_bytes()
+        assert run_cli(*self.SWEEP, "--out", out) == 2
+        assert f"data error: {out}:4: " in capsys.readouterr().err
+        assert out.read_bytes() == before
+
+    def test_infinite_fps_is_read(self, tmp_path):
+        out = tmp_path / "sweep.tsv"
+        self._resumable_table(out, 9, "inf")
+        assert run_cli(*self.SWEEP, "--out", out) == 0
+        rows = read_sweep_table(out)
+        assert len(rows) == 20
+        assert rows[1][0].enc_rate == math.inf
 
 
 class TestSweepSegmentRange:

@@ -19,15 +19,14 @@ from segenc.encoders import (
     SegmentMeasurement,
     SyntheticEncoder,
     SyntheticLaw,
+    config_row_key,
     default_law,
     encode_batch,
     enumerate_configs,
     grid_for,
     read_sweep_table,
-    sweep_row,
-    sweep_row_key,
     synth_encode,
-    write_sweep_rows,
+    write_sweep_table,
 )
 from segenc.media import RawVideo, make_segments
 
@@ -448,20 +447,54 @@ class TestMeasurementAndSweepIO:
             SegmentMeasurement(cfg, 0, bitrate=-1.0, quality_psnr=40.0,
                                quality_vmaf=95.0, enc_rate=30.0, enc_time=5.0)
 
+    @pytest.mark.parametrize("field", ["bitrate", "enc_rate"])
+    def test_nan_measurement_rejected(self, field):
+        cfg = EncodingConfig("synthetic", "B6", 28, (("deblock", True),))
+        values = dict(bitrate=1000.0, quality_psnr=40.0, quality_vmaf=None,
+                      enc_rate=30.0, enc_time=5.0)
+        values[field] = math.nan
+        with pytest.raises(EncoderError, match="must be positive"):
+            SegmentMeasurement(cfg, 0, **values)
+
+    @pytest.mark.parametrize("rows", [
+        [  # x265: open and closed GOPs, joint filter axes, no VMAF
+            "0\tx265\tZL\tclosed\t16\tdeblock=off,sao=off\t2.304\t100\t-\t647.828\t0.00463086\t0",
+            "0\tx265\tB3\topen\t43\tdeblock=on,sao=on\t1.5e+06\t31.0625\t-\t1372.49\t0.00218581\t1",
+        ],
+        [  # svt-av1: two independent filter axes
+            "0\tsvt-av1\tHL3ALT0\t-\t16\tdeblock=off,restoration=on\t2.304\t100\t-\t1222.41\t0.00245416\t0",
+            "3\tsvt-av1\tHL4ALT8\t-\t52\tdeblock=on,restoration=off\t0.125\t28.5\t-\t1755.61\t0.00170881\t1",
+        ],
+        [  # vp9 with VMAF; a zero-time encode's infinite rate
+            "0\tvp9\tALT0\t-\t16\tdeblock=off\t2.304\t100\t91.25\tinf\t0\t1",
+            "0\tvp9\tALT6\t-\t52\tdeblock=on\t1.152\t36.25\t0\t973.069\t0.00308303\t0",
+        ],
+        [  # rows written without Pareto flags
+            "1\tsynthetic\tB6\t-\t16\tdeblock=off\t17553.3\t44.3171\t-\t34.7214\t4.32011\t-",
+            "1\tsynthetic\tB6\t-\t16\tdeblock=on\t17603.3\t44.3671\t-\t34.2214\t4.38323\t-",
+        ],
+    ], ids=["x265-open-closed", "svt-av1-two-axes", "vp9-vmaf-inf-fps", "no-flags"])
+    def test_rewriting_a_read_table_gives_the_same_bytes(self, tmp_path, rows):
+        text = "".join(line + "\n" for line in (
+            encoders.SWEEP_HEADER, "\t".join(encoders.SWEEP_COLUMNS), *rows))
+        path = tmp_path / "sweep.tsv"
+        path.write_text(text)
+        write_sweep_table(path, read_sweep_table(path))
+        assert path.read_text() == text
+
     def test_sweep_table_roundtrip(self, tmp_path):
         enc = SyntheticEncoder()
         seg = make_segments(150, 50)[0]
         rows = [enc.encode(cfg, seg) for cfg in enc.configs()]
         path = tmp_path / "sweep.tsv"
-        write_sweep_rows(path, [sweep_row(m, True) for m in rows])
+        write_sweep_table(path, [(m, True) for m in rows])
         back = read_sweep_table(path)
         assert len(back) == len(rows)
-        assert {sweep_row_key(rec) for rec in back} == {
-            (m.segment_index, m.config.codec, m.config.gop, "-",
-             m.config.qp, m.config.filters_label())
-            for m in rows
+        assert {config_row_key(m.segment_index, m.config) for m, _ in back} == {
+            config_row_key(m.segment_index, m.config) for m in rows
         }
-        assert back[0]["bitrate_kbps"] == pytest.approx(rows[0].bitrate, rel=1e-5)
+        assert {flag for _, flag in back} == {True}
+        assert back[0][0].bitrate == pytest.approx(rows[0].bitrate, rel=1e-5)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda cells: cells[:10], "sweep.tsv:4: 10 cells"),
@@ -471,7 +504,7 @@ class TestMeasurementAndSweepIO:
         enc = SyntheticEncoder()
         seg = make_segments(150, 50)[0]
         path = tmp_path / "sweep.tsv"
-        write_sweep_rows(path, [sweep_row(enc.encode(cfg, seg)) for cfg in enc.configs()[:3]])
+        write_sweep_table(path, [(enc.encode(cfg, seg), None) for cfg in enc.configs()[:3]])
         lines = path.read_text().splitlines()
         lines[3] = "\t".join(edit(lines[3].split("\t")))
         path.write_text("\n".join(lines) + "\n")

@@ -58,6 +58,15 @@ class TestWriteTable:
         assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]  # no temporary file left
 
 
+class TestReplaceText:
+    def test_writes_exactly_the_text_over_the_old_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("a longer old file\n")
+        records.replace_text(path, '{"label": "zoom \u2192 tracking"}')
+        assert path.read_bytes() == '{"label": "zoom \u2192 tracking"}'.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]  # no temporary file left
+
+
 class TestReadText:
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_file_raises_the_callers_error(self, tmp_path, kind):
