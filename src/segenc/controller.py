@@ -34,7 +34,7 @@ from .encoders import (
     encode_batch,
 )
 from .media import Segment
-from .models import RdModel, fit_log_poly, select_order
+from .models import RdModel, fit_log_poly
 from .pareto import measured_points, pareto_front, select_mode_optimal
 from .solver import (
     ConstraintSet,
@@ -134,15 +134,13 @@ def bootstrap(
     encoder: Encoder,
     first_segment: Segment,
     constraints: ConstraintSet,
-    *,
-    fit_order: int | str = 2,
 ) -> ControllerState:
-    """Exhaustive sweep of segment 0, Pareto front, per-group model fits.
+    """Exhaustive sweep of segment 0, Pareto front, per-group order-2 fits.
 
     The grid's encodes run concurrently, ``encoder.workers`` at a time; the
     first to fail, in grid order, is raised and no later one is started.
-    Groups whose Pareto share is too small to fit fall back to all sweep
-    samples of that group.  The segment itself is credited with its
+    A group with fewer than 3 distinct QPs on the front is fitted from all
+    of its sweep samples.  The segment itself is credited with its
     mode-optimal front entry, checked against hard (zero-tolerance) bounds
     since measured values carry no prediction error.
     """
@@ -161,21 +159,17 @@ def bootstrap(
     by_group_front = _by_group(m for m, _ in front.entries)
     by_group_all = _by_group(sweep)
 
-    min_order = 2 if fit_order == "auto" else int(fit_order)
     state = ControllerState(sweep=sweep)
     for key, members in by_group_all.items():
         chosen = by_group_front.get(key, [])
-        if len({m.config.qp for m in chosen}) < min_order + 1:
+        if len({m.config.qp for m in chosen}) < 3:
             chosen = members
         samples = {
             obj: [(m.config.qp, m.objective(obj)) for m in chosen] for obj in objectives
         }
         try:
             state.models[key] = {
-                obj: select_order(pairs, objective=obj)
-                if fit_order == "auto"
-                else fit_log_poly(pairs, int(fit_order), objective=obj)
-                for obj, pairs in samples.items()
+                obj: fit_log_poly(pairs, 2, objective=obj) for obj, pairs in samples.items()
             }
         except ValueError:
             continue
@@ -252,14 +246,12 @@ def run_segment_loop(
     segments: Sequence[Segment],
     constraints: ConstraintSet,
     *,
-    fit_order: int | str = 2,
     schedule: Callable[[Segment], ConstraintSet] | None = None,
 ) -> ControllerState:
     """Bootstrap on segment 0, then predict/encode/correct per segment.
 
     Each post-bootstrap segment triggers exactly one encode, after which the
-    chosen group's log-intercepts move toward the measurement;
-    ``fit_order`` applies to the bootstrap fit alone.  Out-of-range
+    chosen group's log-intercepts move toward the measurement.  Out-of-range
     estimates are clamped to the grid and to +/-``QP_STEP_LIMIT`` of the
     previous segment's QP.  Encoder failures mark the record failed and the
     loop continues on the prior models.
@@ -269,7 +261,7 @@ def run_segment_loop(
 
     grid = encoder.grid()
     first_constraints = schedule(segments[0]) if schedule else constraints
-    state = bootstrap(encoder, segments[0], first_constraints, fit_order=fit_order)
+    state = bootstrap(encoder, segments[0], first_constraints)
     prev_qp = state.history[-1].config.qp
     prev_gop = state.history[-1].config.gop
 
@@ -330,7 +322,7 @@ def _refresh_group(state: ControllerState, key: GroupKey, measurement: SegmentMe
 
     This is lambda-domain rate control's per-encode update (Li et al., IEEE
     TIP 23(9), 2014).  One point at one QP cannot identify curvature, so
-    c1..c3 stay.  A value without a finite log (say, the infinite rate of a
+    c1 and c2 stay.  A value without a finite log (say, the infinite rate of a
     zero-time encode) leaves the group's models as they were.
     """
     models = state.models[key]

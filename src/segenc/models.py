@@ -1,10 +1,9 @@
 """Forward rate-quality-speed models: ln(objective) as a polynomial in QP.
 
 One model is fit per (GOP, filter setting, objective) group.  The natural
-log of the measured objective is regressed on {1, QP, ..., QP^order} by
-least squares; the order is either fixed or chosen automatically as the
-lowest one whose adjusted R^2 reaches 0.9 (order 3 flagged low-confidence
-when none does).
+log of the measured objective is regressed on {1, QP, QP^2} by least
+squares, the paper's fixed order 2; ``fit_log_poly`` also takes order 1
+or 3.
 
 QP is centered at the grid midpoint internally to keep the Vandermonde
 design well conditioned over QP in [16, 52]; reported coefficients are
@@ -12,19 +11,16 @@ re-expanded to the plain uncentered convention, so
 
     predict(model, qp) == exp(c0 + c1*qp + c2*qp^2 + ...)
 
-A fit records its adjusted R^2 and largest residual; coefficient p-values
-are computed on demand by ``coefficient_p_values``, the one function here
-that loads scipy, and only when it is called.
+A fit records its adjusted R^2 and largest residual; nothing here needs
+scipy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-
-ADJ_R2_THRESHOLD = 0.9
 
 
 class FitError(ValueError):
@@ -46,7 +42,6 @@ class RdModel:
     qp_max: float
     diagnostics: FitDiagnostics
     objective: str | None = None
-    low_confidence: bool = False
 
     @property
     def order(self) -> int:
@@ -86,17 +81,6 @@ def _shift_coefficients(centered: list[float], mid: float) -> list[float]:
     return out
 
 
-def _prepare(samples: Iterable[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    pairs = list(samples)
-    if not pairs:
-        raise FitError("degenerate data: no samples")
-    qp = np.asarray([p[0] for p in pairs], dtype=np.float64)
-    values = np.asarray([p[1] for p in pairs], dtype=np.float64)
-    if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
-        raise FitError("log undefined: objective values must be positive")
-    return qp, values
-
-
 def fit_log_poly(
     samples: Iterable[tuple[float, float]],
     order: int,
@@ -111,7 +95,13 @@ def fit_log_poly(
     """
     if order not in (1, 2, 3):
         raise FitError(f"order must be 1, 2 or 3, got {order}")
-    qp, values = _prepare(samples)
+    pairs = list(samples)
+    if not pairs:
+        raise FitError("degenerate data: no samples")
+    qp = np.asarray([p[0] for p in pairs], dtype=np.float64)
+    values = np.asarray([p[1] for p in pairs], dtype=np.float64)
+    if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
+        raise FitError("log undefined: objective values must be positive")
     y = np.log(values)
     distinct = np.unique(qp)
     if distinct.size < order + 1:
@@ -139,56 +129,6 @@ def fit_log_poly(
         diagnostics=FitDiagnostics(adjusted, float(np.max(np.abs(residuals)))),
         objective=objective,
     )
-
-
-def coefficient_p_values(
-    model: RdModel, samples: Iterable[tuple[float, float]]
-) -> tuple[float, ...]:
-    """Two-sided t-test p-value of each coefficient of ``model``.
-
-    ``samples`` are those the model was fit to; the design is uncentered.
-    NaN throughout when the fit leaves no residual degree of freedom.
-    """
-    from scipy import stats  # about 1 s to import, so only on demand
-
-    qp, values = _prepare(samples)
-    coeffs = np.asarray(model.coefficients)
-    dof = qp.size - model.order - 1
-    if dof < 1:
-        return tuple(float("nan") for _ in coeffs)
-    design = np.vander(qp, model.order + 1, increasing=True)
-    residuals = np.log(values) - design @ coeffs
-    cov = np.linalg.pinv(design.T @ design) * (float(residuals @ residuals) / dof)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    out = []
-    for c, s in zip(coeffs, se):
-        if s == 0.0:
-            out.append(0.0 if c != 0.0 else 1.0)
-        else:
-            out.append(float(2.0 * stats.t.sf(abs(c) / s, dof)))
-    return tuple(out)
-
-
-def select_order(
-    samples: Iterable[tuple[float, float]], *, objective: str | None = None
-) -> RdModel:
-    """Lowest order in {1, 2, 3} whose adjusted R^2 reaches ``ADJ_R2_THRESHOLD``.
-
-    When no order reaches it, the highest feasible order is returned with
-    ``low_confidence`` set rather than rejected: fits with adjusted R^2
-    slightly below the threshold are still usable in practice.
-    """
-    pairs = list(samples)
-    qp, _ = _prepare(pairs)
-    distinct = np.unique(qp).size
-    feasible = [o for o in (1, 2, 3) if distinct >= o + 1]
-    if not feasible:
-        raise FitError("rank-deficient design: need at least 2 distinct QPs")
-    for order in feasible:
-        model = fit_log_poly(pairs, order, objective=objective)
-        if model.adjusted_r2 >= ADJ_R2_THRESHOLD:
-            return model
-    return replace(model, low_confidence=True)
 
 
 def predict(model: RdModel, qp: float) -> float:

@@ -324,23 +324,6 @@ def local_search(
     return best[1]
 
 
-def _bound_holds_everywhere(
-    model: RdModel, bound: float, kind: str, lo: float, hi: float
-) -> bool:
-    """Does the bound hold across the whole QP range (so it never binds)?"""
-    points = [lo, hi]
-    if model.order == 2 and model.coefficients[2] != 0.0:
-        vertex = -model.coefficients[1] / (2.0 * model.coefficients[2])
-        if lo < vertex < hi:
-            points.append(vertex)
-    elif model.order == 3:
-        points.extend(np.linspace(lo, hi, 9)[1:-1])
-    values = [predict(model, p) for p in points]
-    if kind == "upper":
-        return max(values) <= bound
-    return min(values) >= bound
-
-
 def solve_constrained(
     models: Mapping[str, RdModel],
     constraints: ConstraintSet,
@@ -352,11 +335,13 @@ def solve_constrained(
     """Full pipeline: invert each binding bound, round, check, local-search.
 
     Candidate QPs come from inverting every bounded objective's model (the
-    mode's dominant bound first).  Bounds that hold across the whole range
-    contribute no candidate; bounds violated across the whole range
-    contribute the least-violating boundary.  The best feasible candidate
-    on the mode objective wins; if none is feasible a +/-4 local search
-    around the dominant candidate decides.
+    mode's dominant bound first).  A bound whose model has no root in the
+    fitted range holds everywhere or nowhere there, so the boundary QP that
+    ``TargetUnreachableError`` carries decides which: a bound that holds
+    there contributes no candidate, one violated there contributes that
+    least-violating boundary.  The best feasible candidate on the mode
+    objective wins; if none is feasible a +/-4 local search around the
+    dominant candidate decides.
     """
     dominant = MODES[constraints.mode].dominant
     bound_names = list(constraints.bounds())
@@ -378,7 +363,8 @@ def solve_constrained(
         try:
             qp_reals.append(newton_solve(model, bound, start=start))
         except TargetUnreachableError as exc:
-            if not _bound_holds_everywhere(model, bound, kind, model.qp_min, model.qp_max):
+            value = predict(model, exc.boundary_qp)
+            if (value > bound) if kind == "upper" else (value < bound):
                 qp_reals.append(exc.boundary_qp)
 
     if not qp_reals:

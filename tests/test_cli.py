@@ -749,7 +749,7 @@ class TestMetrics:
 class TestImportBudget:
     """Only ``classify`` pays for importing scipy, through ``select_bins``.
 
-    ``srocc`` and ``coefficient_p_values`` import it too, but no command calls them.
+    ``srocc`` imports it too, but no command calls it.
     """
 
     PROBE = (
@@ -975,6 +975,27 @@ class TestResumedTableChecks:
         before = out.read_bytes()
         assert run_cli(*self.SWEEP, "--out", out) == 2
         assert f"data error: {out}:4: " in capsys.readouterr().err
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("edited, column, cell", [
+        (slice(3, 4), 5, "deblock=on,sao=on"), (slice(2, None), 1, "x265"),
+    ], ids=["filters-off-the-grid", "other-codec"])
+    def test_row_off_the_grid_is_a_data_error(self, tmp_path, capsys, edited, column, cell):
+        # such a row was kept beside the grid's own configuration, which
+        # was then encoded too: 21 rows for 20 configurations, or 40 of two codecs
+        out = tmp_path / "sweep.tsv"
+        assert run_cli(*self.SWEEP, "--out", out) == 0
+        lines = out.read_text().splitlines()
+        for i in range(len(lines))[edited]:
+            cells = lines[i].split("\t")
+            cells[column] = cell
+            lines[i] = "\t".join(cells)
+        out.write_text("".join(line + "\n" for line in lines))
+        before = out.read_bytes()
+        assert run_cli(*self.SWEEP, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {out}: " in err
+        assert cell in err and "not in the synthetic grid" in err
         assert out.read_bytes() == before
 
     def test_infinite_fps_is_read(self, tmp_path):

@@ -93,6 +93,18 @@ class TestBootstrap:
         assert state.history[0].config.qp == 25
         assert len(state.history) == 3
 
+    def test_group_off_the_front_is_fitted_from_all_its_samples(self):
+        # B6x is B6 with e^0.5 times the bits: each of its points is dominated
+        a, b1, b2 = B6["bits"]
+        law = SyntheticLaw({"B6": B6, "B6x": {**B6, "bits": (a + 0.5, b1, b2)}})
+        state = bootstrap(SyntheticEncoder(law), segments_500()[0], MAXQ)
+        copies = [key for key in state.models if key[0] == "B6x"]
+        assert len(copies) == 2  # filters off / on
+        for key in copies:
+            assert all(len(pairs) == 10 for pairs in state.samples[key].values())
+        assert all(model.order == 2 for models in state.models.values()
+                   for model in models.values())
+
     def test_binding_time_bound_picks_faster_segment0_config(self):
         # QPs 16 and 19 take 0.40 s and 0.11 s for 150 frames; QP 22 takes 0.024 s
         cs = make_mode("max_quality", {"max_bitrate_kbps": 200000.0, "max_time_s": 0.05})
@@ -260,12 +272,6 @@ class TestSegmentLoop:
     def test_empty_segment_list_rejected(self):
         with pytest.raises(ControllerError, match="no segments"):
             run_segment_loop(SyntheticEncoder(), [], MAXQ)
-
-    def test_auto_fit_order_still_meets_bounds(self):
-        enc = SyntheticEncoder()
-        state = run_segment_loop(enc, segments_500(), MAXQ, fit_order="auto")
-        for record in state.history:
-            assert record.measured.bitrate <= MAXQ.max_bitrate_kbps * (1 + MAXQ.tol_bitrate)
 
 
 class TestSummary:

@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import stats
 
 from segenc.coefficients import REFERENCE_MODEL_SETS
 from segenc.models import (
     FitError,
     _shift_coefficients,
-    coefficient_p_values,
     fit_log_poly,
     predict,
-    select_order,
 )
 
 from conftest import make_model
@@ -74,37 +71,11 @@ class TestFitRecovery:
             model = fit_log_poly(noisy, 2)
             assert abs(model.coefficients[2] - truth[2]) < bound
 
-    def test_p_values_flag_meaningful_coefficients(self, rng):
-        truth = B6["bits"]
-        noisy = [
-            (q, math.exp(truth[0] + truth[1] * q + truth[2] * q * q
-                         + rng.normal(0.0, 0.005)))
-            for q in X265_QPS
-        ]
-        model = fit_log_poly(noisy, 2)
-        assert coefficient_p_values(model, noisy)[1] <= 0.05  # QP term is significant
-
 
 def numpy_shift(centered, mid):
     """Reference re-expansion through numpy's Polynomial composition."""
     coef = np.polynomial.Polynomial(centered)(np.polynomial.Polynomial([-mid, 1.0])).coef
     return np.pad(coef, (0, len(centered) - len(coef)))
-
-
-def reference_p_values(samples, order):
-    """Fit-time p-values as computed before they moved out of the fit."""
-    qp = np.array([q for q, _ in samples], dtype=float)
-    y = np.log([v for _, v in samples])
-    mid = (qp.min() + qp.max()) / 2.0
-    centered_design = np.vander(qp - mid, order + 1, increasing=True)
-    centered, *_ = np.linalg.lstsq(centered_design, y, rcond=None)
-    coeffs = numpy_shift(centered, mid)
-    residuals = y - centered_design @ centered
-    dof = qp.size - order - 1
-    design = np.vander(qp, order + 1, increasing=True)
-    cov = np.linalg.pinv(design.T @ design) * (float(residuals @ residuals) / dof)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    return [float(2.0 * stats.t.sf(abs(c) / s, dof)) for c, s in zip(coeffs, se)]
 
 
 COEFFICIENT = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -136,57 +107,6 @@ class TestReexpansion:
             np.vander(qp - mid, 3, increasing=True), np.log([v for _, v in samples]), rcond=None
         )
         assert list(model.coefficients) == numpy_shift(centered, mid).tolist()
-
-
-class TestCoefficientPValues:
-    def test_agrees_with_fit_time_formula_on_noisy_fits(self, rng):
-        for trial in range(60):
-            order = 1 + trial % 3
-            qps = sorted(rng.choice(np.arange(16, 53), size=order + 3 + trial % 7, replace=False))
-            truth = (rng.uniform(2.0, 12.0), rng.uniform(-0.3, 0.1), rng.uniform(-0.004, 0.004))
-            noisy = [
-                (float(q), math.exp(truth[0] + truth[1] * q + truth[2] * q * q
-                                    + rng.normal(0.0, 0.02)))
-                for q in qps
-            ]
-            got = coefficient_p_values(fit_log_poly(noisy, order), noisy)
-            assert got == pytest.approx(reference_p_values(noisy, order), abs=1e-9)
-
-    def test_exact_interpolation_has_no_p_values(self):
-        samples = [(20, 100.0), (30, 50.0)]
-        assert all(math.isnan(p) for p in coefficient_p_values(fit_log_poly(samples, 1), samples))
-
-
-class TestSelectOrder:
-    def test_exactly_linear_data_picks_order_one(self):
-        samples = [(q, math.exp(10.0 - 0.2 * q)) for q in X265_QPS]
-        model = select_order(samples)
-        assert model.order == 1
-        assert not model.low_confidence
-
-    def test_strong_curvature_needs_order_two(self):
-        coeffs = (1.0, 0.3, -0.008)
-        samples = samples_from(coeffs, X265_QPS)
-        # oracle: adjusted R^2 of the plain linear LS fit, computed directly
-        q = np.array(X265_QPS, dtype=float)
-        y = np.log([v for _, v in samples])
-        slope, intercept = np.polyfit(q, y, 1)
-        resid = y - (slope * q + intercept)
-        r2 = 1 - resid @ resid / np.sum((y - y.mean()) ** 2)
-        adj = 1 - (1 - r2) * (len(q) - 1) / (len(q) - 2)
-        assert adj < 0.9
-
-        model = select_order(samples)
-        assert model.order == 2
-        for got, want in zip(model.coefficients, coeffs):
-            assert got == pytest.approx(want, abs=1e-8)
-
-    def test_noise_around_constant_flags_low_confidence(self, rng):
-        samples = [(q, 100.0 * math.exp(rng.normal(0.0, 0.05))) for q in X265_QPS]
-        model = select_order(samples)
-        assert model.order == 3
-        assert model.low_confidence
-        assert model.adjusted_r2 < 0.9
 
 
 class TestPredict:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from segenc import solver
 from segenc.coefficients import REFERENCE_MODEL_SETS
 from segenc.models import fit_log_poly, predict
 from segenc.solver import (
@@ -274,6 +275,29 @@ class TestSolveConstrained:
         assert sol.satisfied
         # enc_rate grows with QP under this law: the quality bound binds
         assert sol.qp_int == 30
+
+    def test_bound_slack_everywhere_adds_no_candidate(self, monkeypatch):
+        # enc_rate is at least 373 fps over the fitted range, so no QP
+        # meets 1e-3 fps and no QP violates it either
+        evaluated = []
+        real_evaluate = solver.evaluate
+
+        def spy(qp, *args):
+            evaluated.append(qp)
+            return real_evaluate(qp, *args)
+
+        monkeypatch.setattr(solver, "evaluate", spy)
+        cs = make_mode("max_quality", {"max_bitrate_kbps": 11205.77, "min_fps": 1e-3})
+        sol = solve_constrained(self.models(), cs, qp_bounds=(16, 45))
+        assert sol.qp_int == 28
+        assert sol.satisfied
+        assert 16 not in evaluated  # the boundary nearest 1e-3 fps
+
+    def test_bound_violated_everywhere_adds_its_boundary(self):
+        cs = make_mode("max_quality", {"max_bitrate_kbps": 1.0, "min_fps": 25.0})
+        sol = solve_constrained(self.models(), cs, qp_bounds=(16, 45))
+        assert sol.qp_real == 43.0  # the fitted range's end with the fewest bits
+        assert not sol.satisfied
 
 
 class TestBoundValues:
