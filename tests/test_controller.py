@@ -322,10 +322,11 @@ def stepped_law(law, factor):
 
 
 class SteppedEncoder(SyntheticEncoder):
-    """Default law up to segment ``step_at``; bitrate times ``factor`` from there on."""
+    """``law`` (default: the default law) up to segment ``step_at``; bitrate
+    times ``factor`` from there on."""
 
-    def __init__(self, step_at, factor):
-        super().__init__()
+    def __init__(self, step_at, factor, law=None):
+        super().__init__(law)
         self.before, self.after = self.law, stepped_law(self.law, factor)
         self.step_at = step_at
 
@@ -398,3 +399,33 @@ class TestOnlineCorrection:
         # the bitrate alone would move the bits model
         _refresh_group(state, key, replace(measured, bitrate=measured.bitrate * 1.5, **changes))
         assert state.models[key] == before
+
+
+class TestPinnedDecisions:
+    """Every decision of a multi-group run, as the solver made it when recorded.
+
+    Four x265 GOPs with filter offsets (eight model groups) under
+    ``max_quality``, with the bitrate stepping up by half at segment 30; any
+    change to model inversion, rounding or ranking that moves one choice
+    shows here.
+    """
+
+    GOPS = (("B2", "max_quality"), ("B3", "max_quality"), ("B4", "min_bitrate"),
+            ("B6", "max_quality"))
+    FILTER_OFFSETS = {"psnr": 0.25, "vmaf": 0.5, "bits": 150.0, "enc_rate": -0.5}
+    EXPECTED = (
+        [("B6", 31, True)]
+        + [("B6", 30, True)] * 30
+        + [("B6", 30, False), ("B6", 32, True), ("B6", 32, False), ("B6", 32, False)]
+        + [("B6", 33, True)] * 25
+    )
+
+    def test_decision_sequence_through_a_bitrate_step(self):
+        law = SyntheticLaw(
+            {gop: REFERENCE_MODEL_SETS[("x265", gop, set_)] for gop, set_ in self.GOPS},
+            self.FILTER_OFFSETS,
+        )
+        cs = make_mode("max_quality", {"max_bitrate_kbps": 8000.0, "min_fps": 30.0})
+        state = run_segment_loop(SteppedEncoder(30, 1.5, law), segments(60), cs)
+        got = [(r.config.gop, r.config.qp, r.config.filters_on) for r in state.history]
+        assert got == self.EXPECTED
