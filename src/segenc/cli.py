@@ -156,7 +156,8 @@ def _sweep(args, encoder, segments: list[media.Segment]) -> int:
     """Encode every configuration not yet in the table; returns the failure count.
 
     A resumed row whose codec and configuration are not in the encoder's
-    grid is a data error, and the table is left as it was.
+    grid, or that repeats an earlier row's segment and configuration, is a
+    data error, and the table is left as it was.
 
     Encodes run ``encoder.workers`` at a time.  After each segment the table
     is rewritten with that segment's Pareto flags recomputed over all of its
@@ -174,13 +175,19 @@ def _sweep(args, encoder, segments: list[media.Segment]) -> int:
     except EncoderError as exc:
         raise DataError(str(exc)) from None
     grid = {encoders.config_row_key(0, c)[1:] for c in encoder.configs()}
-    for m, _ in rows:  # kept, such a row would sit beside the grid's own encode
+    done: set[tuple] = set()
+    for m, _ in rows:  # kept, such a row would sit beside another of its configuration
         c = m.config
-        if encoders.config_row_key(m.segment_index, c)[1:] not in grid:
-            row = " ".join((c.codec, c.gop, c.gop_type or "-", f"QP {c.qp}", c.filters_label()))
-            raise DataError(f"{out}: the segment {m.segment_index} row {row} "
-                            f"is not in the {encoder.grid().codec} grid")
-    done = {encoders.config_row_key(m.segment_index, m.config) for m, _ in rows}
+        key = encoders.config_row_key(m.segment_index, c)
+        if key[1:] not in grid:
+            problem = f"is not in the {encoder.grid().codec} grid"
+        elif key in done:
+            problem = "is in the table more than once"
+        else:
+            done.add(key)
+            continue
+        row = " ".join((c.codec, c.gop, c.gop_type or "-", f"QP {c.qp}", c.filters_label()))
+        raise DataError(f"{out}: the segment {m.segment_index} row {row} {problem}")
 
     failures = 0
     for segment in segments:

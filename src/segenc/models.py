@@ -2,8 +2,9 @@
 
 One model is fit per (GOP, filter setting, objective) group.  The natural
 log of the measured objective is regressed on {1, QP, QP^2} by least
-squares, the paper's fixed order 2; ``fit_log_poly`` also takes order 1
-or 3.
+squares, the paper's fixed order 2; ``fit_log_poly`` also takes order 1,
+and no higher, since ``solver.newton_solve`` inverts a model in closed form
+as a quadratic at most.
 
 QP is centered at the grid midpoint internally to keep the Vandermonde
 design well conditioned over QP in [16, 52]; reported coefficients are
@@ -89,12 +90,12 @@ def fit_log_poly(
 ) -> RdModel:
     """Least-squares fit of ln(value) on {1, QP, ..., QP^order}.
 
-    Requires order in {1, 2, 3}, at least order+1 distinct QP values (the
+    Requires order in {1, 2}, at least order+1 distinct QP values (the
     minimal case is an exact interpolation), positive values, and a
     non-constant response.
     """
-    if order not in (1, 2, 3):
-        raise FitError(f"order must be 1, 2 or 3, got {order}")
+    if order not in (1, 2):
+        raise FitError(f"order must be 1 or 2, got {order}")
     pairs = list(samples)
     if not pairs:
         raise FitError("degenerate data: no samples")

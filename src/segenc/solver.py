@@ -1,9 +1,11 @@
 """Invert fitted forward models for the QP that meets a constraint.
 
-Newton's method on f(q) = ln_poly(q) - ln(target) starting from the codec's
-default QP (27 for x265/VP9, 30 for AV1-style codecs), mode-aware integer
-rounding, soft-violation checking, and a +/-4 local search when the rounded
-solution fails its constraint check.
+Every fitted model is ln(objective) = c0 + c1*q + c2*q^2 (order 1 when
+c2 == 0), so a bound's QP is a root of a quadratic, taken in closed form:
+of the in-range roots, the one nearest the codec's default QP (27 for
+x265/VP9, 30 for AV1-style codecs).  Then mode-aware integer rounding,
+soft-violation checking, and a +/-4 local search when the rounded solution
+fails its constraint check.
 
 Every module reads what a mode means from ``MODES`` (objective, direction,
 bound inverted first, QP rounding; ``min_enc_time`` aliases ``max_enc_rate``)
@@ -21,12 +23,9 @@ from dataclasses import dataclass, replace
 from numbers import Real
 from typing import Mapping
 
-import numpy as np
-
 from .models import RdModel, predict
 
-DEFAULT_NEWTON_START = 27.0
-NEWTON_MAX_ITER = 50
+DEFAULT_NEWTON_START = 27.0  # the start whose nearest root newton_solve returns
 LOCAL_SEARCH_RADIUS = 4  # QPs either side of the solved QP that local search tries
 
 
@@ -181,68 +180,49 @@ def newton_solve(
     *,
     start: float = DEFAULT_NEWTON_START,
 ) -> float:
-    """QP at which the model predicts ``target``, by Newton iteration.
+    """QP at which the model predicts ``target``: a root of
+    c2*q^2 + c1*q + (c0 - ln target) = 0, in closed form.
 
-    Iterates q <- q - f(q)/f'(q) from the configured start until the
-    iterate has numerically converged (which subsumes the
-    rounded-QP-unchanged stopping rule) or ``NEWTON_MAX_ITER`` is reached.  A zero
-    derivative at an iterate is perturbed by +0.5.  When the iteration does
-    not land on an in-range root, the polynomial's real roots are examined
-    directly; with several in-range roots the one nearest the start is
-    returned.  No in-range root raises ``TargetUnreachableError`` carrying
-    the nearest boundary QP.
+    The roots are t/c2 and (c0 - ln target)/t with
+    t = -(c1 + sign(c1)*sqrt(disc))/2, which avoids cancellation; c2 == 0
+    leaves the linear root.  Of the in-range roots the one nearest
+    ``start`` clamped to the fitted range is returned, ties to the lower
+    QP.  That is the root Newton's method reaches from that start on a
+    quadratic (the root on the start's side of the vertex is the nearer
+    one), and the function keeps the name it had when it iterated, which
+    callers and the benchmark's span tracer look up.  No in-range root
+    raises ``TargetUnreachableError`` carrying the boundary QP whose
+    prediction is nearest the target.
     """
-    if model.order < 1:
-        raise SolverError("model order must be >= 1")
+    if model.order not in (1, 2):
+        raise SolverError(f"model order must be 1 or 2, got {model.order}")
     if target <= 0.0:
         raise SolverError("target must be positive")
     log_target = math.log(target)
+    c0, c1, *higher = model.coefficients
+    c2 = higher[0] if higher else 0.0
+    c = c0 - log_target
 
-    q = min(max(start, model.qp_min), model.qp_max)
-    converged = False
-    for _ in range(NEWTON_MAX_ITER):
-        f = model.log_value(q) - log_target
-        fp = model.log_slope(q)
-        if fp == 0.0:
-            q += 0.5
-            continue
-        q_next = q - f / fp
-        if abs(q_next - q) < 1e-12 and round(q_next) == round(q):
-            q = q_next
-            converged = True
-            break
-        q = q_next
+    if c2 == 0.0:
+        roots = [-c / c1] if c1 != 0.0 else []
+    else:
+        disc = c1 * c1 - 4.0 * c2 * c
+        if disc < 0.0:
+            roots = []
+        else:
+            t = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+            roots = [t / c2, c / t] if t != 0.0 else [0.0]  # t == 0: c1 == c == 0
 
-    if converged and model.in_range(q):
-        return float(q)
-
-    # Newton left the range or chased an out-of-range root: inspect all roots.
-    poly = np.array(model.coefficients, dtype=np.float64)
-    poly[0] -= log_target
-    roots = np.polynomial.polynomial.polyroots(poly)
-    real = [float(r.real) for r in roots if abs(r.imag) < 1e-9]
-    in_range = [r for r in real if model.in_range(r)]
+    in_range = [r for r in roots if model.in_range(r)]
     if in_range:
-        best = min(in_range, key=lambda r: (abs(r - start), r))
-        return float(_polish(model, best, log_target))
+        q = min(max(start, model.qp_min), model.qp_max)
+        return min(in_range, key=lambda r: (abs(r - q), r))
 
     lo, hi = model.qp_min, model.qp_max
     boundary = min((lo, hi), key=lambda b: abs(model.log_value(b) - log_target))
     raise TargetUnreachableError(
         f"target unreachable within QP range [{lo}, {hi}]", boundary_qp=float(boundary)
     )
-
-
-def _polish(model: RdModel, q: float, log_target: float) -> float:
-    for _ in range(8):
-        fp = model.log_slope(q)
-        if fp == 0.0:
-            break
-        step = (model.log_value(q) - log_target) / fp
-        q -= step
-        if abs(step) < 1e-13:
-            break
-    return q
 
 
 def round_qp(qp_real: float, mode: str) -> int:
@@ -334,8 +314,9 @@ def solve_constrained(
 ) -> QpSolution:
     """Full pipeline: invert each binding bound, round, check, local-search.
 
-    Candidate QPs come from inverting every bounded objective's model (the
-    mode's dominant bound first).  A bound whose model has no root in the
+    Candidate QPs come from inverting every bounded objective's model with
+    ``newton_solve`` (the mode's dominant bound first; ``start`` picks
+    between two in-range roots).  A bound whose model has no root in the
     fitted range holds everywhere or nowhere there, so the boundary QP that
     ``TargetUnreachableError`` carries decides which: a bound that holds
     there contributes no candidate, one violated there contributes that
@@ -344,13 +325,13 @@ def solve_constrained(
     dominant candidate decides.
     """
     dominant = MODES[constraints.mode].dominant
-    bound_names = list(constraints.bounds())
-    bound_names.sort(key=lambda nm: (nm != dominant))
+    bounds = constraints.bounds()
+    bound_names = sorted(bounds, key=lambda nm: (nm != dominant))
 
     qp_reals: list[float] = []
     for name in bound_names:
         objective = constraints.objective_for(name)
-        bound = constraints.bounds()[name]
+        bound = bounds[name]
         kind = _BOUND_SPECS[name][1]
         if name == "max_time_s":
             if segment_frames is None:

@@ -998,6 +998,20 @@ class TestResumedTableChecks:
         assert cell in err and "not in the synthetic grid" in err
         assert out.read_bytes() == before
 
+    def test_repeated_row_is_a_data_error(self, tmp_path, capsys):
+        # both copies were kept and flagged: 21 rows for 20 configurations
+        out = tmp_path / "sweep.tsv"
+        assert run_cli(*self.SWEEP, "--out", out) == 0
+        lines = out.read_text().splitlines()[:12]
+        lines.append(lines[3])
+        out.write_text("".join(line + "\n" for line in lines))
+        before = out.read_bytes()
+        assert run_cli(*self.SWEEP, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {out}: the segment 0 row synthetic B6 - QP 16 deblock=on " in err
+        assert "more than once" in err
+        assert out.read_bytes() == before
+
     def test_infinite_fps_is_read(self, tmp_path):
         out = tmp_path / "sweep.tsv"
         self._resumable_table(out, 9, "inf")

@@ -45,6 +45,12 @@ class TestFitRecovery:
         with pytest.raises(FitError, match="log undefined"):
             fit_log_poly([(16, 10.0), (19, -1.0), (22, 5.0)], 1)
 
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_order_outside_one_and_two_rejected(self, order):
+        # order 3 has four distinct QPs here, so only the order is at fault
+        with pytest.raises(FitError, match="order must be 1 or 2"):
+            fit_log_poly(samples_from(B6["bits"], X265_QPS), order)
+
     def test_too_few_distinct_qps_rejected(self):
         with pytest.raises(FitError, match="rank-deficient"):
             fit_log_poly([(20, 10.0), (20, 11.0), (20, 12.0)], 1)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segenc import solver
 from segenc.coefficients import REFERENCE_MODEL_SETS
@@ -104,6 +105,80 @@ class TestNewton:
         target = predict(model, 20.0)
         got = newton_solve(model, target, start=vertex)
         assert predict(model, got) == pytest.approx(target, rel=1e-9)
+
+
+class TestClosedForm:
+    # ln value = 180 - 14 q + q^2/4 = (q - 20)(q - 36)/4: ln 1 at QP 20 and 36,
+    # vertex at 28, all inside [16, 43]; every step of the root formula is exact
+    TWO_ROOTS = (180.0, -14.0, 0.25)
+
+    @pytest.mark.parametrize("start, root", [
+        (27.0, 20.0), (30.0, 36.0), (28.0, 20.0),  # 28: the vertex, a tie
+        (5.0, 20.0), (60.0, 36.0),  # starts outside the range are clamped
+    ])
+    def test_two_in_range_roots_give_the_one_nearest_the_start(self, start, root):
+        model = make_model(self.TWO_ROOTS)
+        assert newton_solve(model, 1.0, start=start) == pytest.approx(root, abs=1e-9)
+
+    @pytest.mark.parametrize("vertex, boundary", [(28.0, 16.0), (32.0, 43.0)])
+    def test_negative_discriminant_reports_the_nearer_boundary(self, vertex, boundary):
+        # ln value = 0.01 (q - vertex)^2 + 1 never comes down to ln 1
+        c2 = 0.01
+        model = make_model((c2 * vertex * vertex + 1.0, -2.0 * c2 * vertex, c2))
+        with pytest.raises(TargetUnreachableError) as info:
+            newton_solve(model, 1.0)
+        assert info.value.boundary_qp == boundary
+
+    @pytest.mark.parametrize("coefficients", [(9.0, -0.2), (9.0, -0.2, 0.0)],
+                             ids=["order-1", "zero-curvature"])
+    def test_linear_model_inverts(self, coefficients):
+        model = make_model(coefficients)
+        target = math.exp(9.0 - 0.2 * 31.5)
+        assert newton_solve(model, target) == pytest.approx(31.5, abs=1e-12)
+
+    def test_flat_model_is_unreachable(self):
+        model = make_model((2.0, 0.0, 0.0))
+        with pytest.raises(TargetUnreachableError) as info:
+            newton_solve(model, math.exp(3.0))
+        assert info.value.boundary_qp == 16.0  # both boundaries tie: the lower
+
+    @pytest.mark.parametrize("coefficients", [(2.0,), (9.0, -0.2, 1e-3, 1e-5)],
+                             ids=["order-0", "order-3"])
+    def test_order_outside_one_and_two_rejected(self, coefficients):
+        with pytest.raises(SolverError, match="order must be 1 or 2") as info:
+            newton_solve(make_model(coefficients), 100.0)
+        assert not isinstance(info.value, TargetUnreachableError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c2=st.sampled_from([-1.0, 0.0, 1.0]).flatmap(
+            lambda sign: st.floats(1e-3, 0.05).map(lambda x: sign * x)),
+        r1=st.floats(16.0, 43.0),
+        r2=st.floats(16.0, 43.0),
+        slope=st.floats(-1.0, 1.0),
+        shift=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+        start=st.floats(0.0, 60.0),
+    )
+    def test_random_quadratic_with_a_root_is_inverted(self, c2, r1, r2, slope, shift, start):
+        # ln value = c2 (q - r1)(q - r2) + shift, or slope (q - r1) + shift
+        # when c2 == 0; the target is 1, so ln target = 0
+        c1 = -c2 * (r1 + r2) if c2 else slope
+        model = make_model(((c2 * r1 * r2 if c2 else -slope * r1) + shift, c1, c2))
+        grid = np.linspace(16.0, 43.0, 2701)
+        f = [model.log_value(q) for q in grid]
+        crosses = min(f) < -1e-9 and max(f) > 1e-9
+        try:
+            got = newton_solve(model, 1.0, start=start)
+        except TargetUnreachableError:
+            assert not crosses
+            return
+        assert model.in_range(got)
+        assert abs(model.log_value(got)) < 1e-9
+        # no sign change on the grid lies nearer the clamped start
+        q = min(max(start, 16.0), 43.0)
+        for i in range(len(grid) - 1):
+            if f[i] * f[i + 1] < 0.0:
+                assert abs(got - q) <= max(abs(grid[i] - q), abs(grid[i + 1] - q)) + 1e-9
 
 
 class TestRounding:
