@@ -70,7 +70,6 @@ class RdCurve:
 @dataclass(frozen=True, slots=True)
 class BdResult:
     bd_rate: float  # fractional bitrate change of B relative to A; negative = savings
-    overlap: tuple[float, float]
     monotone_inputs: bool = True
 
     @property
@@ -98,7 +97,6 @@ def bd_rate(curve_a: RdCurve, curve_b: RdCurve) -> BdResult:
     avg_diff = (int_b - int_a) / (hi - lo)
     return BdResult(
         bd_rate=math.exp(avg_diff) - 1.0,
-        overlap=(float(lo), float(hi)),
         monotone_inputs=curve_a.monotone and curve_b.monotone,
     )
 

@@ -155,8 +155,8 @@ def cmd_sweep(args) -> int:
 def _sweep(args, encoder, segments: list[media.Segment]) -> int:
     """Encode every configuration not yet in the table; returns the failure count.
 
-    A resumed row whose codec and configuration are not in the encoder's
-    grid, or that repeats an earlier row's segment and configuration, is a
+    A resumed table is checked against every segment of the run, also under
+    ``--segment`` (``encoders.check_sweep_rows``); a row that fails is a
     data error, and the table is left as it was.
 
     Encodes run ``encoder.workers`` at a time.  After each segment the table
@@ -164,6 +164,9 @@ def _sweep(args, encoder, segments: list[media.Segment]) -> int:
     rows, those already there and the new, on the bootstrap's front points
     (``pareto.measured_points``): VMAF when every row has it, else PSNR.
     """
+    configs = encoder.configs()
+    frames = {encoders.config_row_key(s.index, c): s.frame_count
+              for s in segments for c in configs}
     if args.segment is not None:
         if not 0 <= args.segment < len(segments):
             raise UsageError(f"--segment {args.segment} is not in 0..{len(segments) - 1}")
@@ -172,26 +175,13 @@ def _sweep(args, encoder, segments: list[media.Segment]) -> int:
     out = Path(args.out)
     try:  # a table we cannot resume from is bad input, not an encoder failure
         rows = encoders.read_sweep_table(out) if out.exists() else []
+        done = encoders.check_sweep_rows(out, rows, frames, encoder.grid().codec)
     except EncoderError as exc:
         raise DataError(str(exc)) from None
-    grid = {encoders.config_row_key(0, c)[1:] for c in encoder.configs()}
-    done: set[tuple] = set()
-    for m, _ in rows:  # kept, such a row would sit beside another of its configuration
-        c = m.config
-        key = encoders.config_row_key(m.segment_index, c)
-        if key[1:] not in grid:
-            problem = f"is not in the {encoder.grid().codec} grid"
-        elif key in done:
-            problem = "is in the table more than once"
-        else:
-            done.add(key)
-            continue
-        row = " ".join((c.codec, c.gop, c.gop_type or "-", f"QP {c.qp}", c.filters_label()))
-        raise DataError(f"{out}: the segment {m.segment_index} row {row} {problem}")
 
     failures = 0
     for segment in segments:
-        jobs = [(c, segment) for c in encoder.configs()
+        jobs = [(c, segment) for c in configs
                 if encoders.config_row_key(segment.index, c) not in done]
         if not jobs:
             continue
@@ -218,13 +208,11 @@ def _constraints_from_args(args, tolerances: dict[str, float]) -> ConstraintSet:
     bounds: dict = {}
     if args.max_bitrate_kbps is not None:
         bounds["max_bitrate_kbps"] = args.max_bitrate_kbps
-    min_vmaf = args.min_vmaf
-    if args.jnd_offset is not None:
-        if args.reference_vmaf is None:
-            raise UsageError("--jnd-offset needs --reference-vmaf")
-        min_vmaf = args.reference_vmaf - args.jnd_offset
-    if min_vmaf is not None and args.min_quality_db is not None:
-        raise UsageError("give either --min-quality-db or --min-vmaf, not both")
+    if (args.jnd_offset is None) != (args.reference_vmaf is None):
+        raise UsageError("--jnd-offset and --reference-vmaf need each other")
+    if sum(f is not None for f in (args.min_quality_db, args.min_vmaf, args.jnd_offset)) > 1:
+        raise UsageError("give at most one of --min-quality-db, --min-vmaf and --jnd-offset")
+    min_vmaf = args.min_vmaf if args.jnd_offset is None else args.reference_vmaf - args.jnd_offset
     if min_vmaf is not None:
         bounds["min_quality"] = min_vmaf
         bounds["quality_metric"] = "vmaf"

@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import records
 from .encoders import (
+    CodecGrid,
     Encoder,
     EncoderError,
     EncodingConfig,
@@ -203,35 +204,32 @@ def choose_gop_model(
     state: ControllerState,
     constraints: ConstraintSet,
     *,
-    grid_bounds: tuple[int, int],
-    gop_rank: Callable[[str], int],
-    newton_start: float,
+    grid: CodecGrid,
     segment_frames: int | None = None,
 ) -> tuple[GroupKey, dict[str, RdModel], QpSolution]:
-    """Solve every fitted group; best feasible mode objective wins.
+    """Solve every fitted group over ``grid``'s QP range; best feasible mode objective wins.
 
     Ties break toward lower predicted bitrate, then the simpler GOP (rank
-    in the codec's structure list), then the filter flags.  When no group
+    in ``grid``'s structure list), then the filter flags.  When no group
     satisfies the constraints the least-violation group is returned.
     """
     if not state.models:
         raise ControllerError("no fitted model groups")
     scored: list[tuple[tuple, GroupKey, dict[str, RdModel], QpSolution]] = []
-    for key in sorted(state.models, key=lambda k: (gop_rank(k[0]), k[1])):
-        models = state.models[key]
+    for key, models in state.models.items():
         try:
             sol = solve_constrained(
                 models,
                 constraints,
-                qp_bounds=grid_bounds,
-                start=newton_start,
+                qp_bounds=grid.qp_bounds,
+                start=grid.newton_start,
                 segment_frames=segment_frames,
             )
         except ValueError:
             continue
         rank = (
             *candidate_rank(sol.predicted, sol.satisfied, sol.violations, constraints),
-            gop_rank(key[0]),
+            grid.gop_rank(key[0]),
             key[1],
         )
         scored.append((rank, key, models, sol))
@@ -268,12 +266,7 @@ def run_segment_loop(
     for segment in segments[1:]:
         current = schedule(segment) if schedule else constraints
         key, models, sol = choose_gop_model(
-            state,
-            current,
-            grid_bounds=grid.qp_bounds,
-            gop_rank=grid.gop_rank,
-            newton_start=grid.newton_start,
-            segment_frames=segment.frame_count,
+            state, current, grid=grid, segment_frames=segment.frame_count
         )
         gop, filters = key
 
@@ -286,14 +279,7 @@ def run_segment_loop(
         else:
             predicted, satisfied, violations = sol.predicted, sol.satisfied, sol.violations
 
-        config = EncodingConfig(
-            codec=grid.codec,
-            gop=gop,
-            qp=qp,
-            filters=filters,
-            gop_type="closed" if grid.gop_types else None,
-            preset=grid.preset,
-        )
+        config = grid.config(gop, qp, filters)
         record = DecisionRecord(
             segment_index=segment.index,
             config=config,
@@ -349,8 +335,6 @@ class GainSummary:
     avg_vmaf: float | None
     baseline_qp: int | None = None
     baseline_bitrate_kbps: float | None = None
-    baseline_psnr_db: float | None = None
-    baseline_vmaf: float | None = None
     bitrate_gain_pct: float | None = None
     delta_psnr_db: float | None = None
     delta_vmaf: float | None = None
@@ -421,8 +405,6 @@ def summarize(
         summary,
         baseline_qp=baseline_cfg.qp,
         baseline_bitrate_kbps=base_bitrate,
-        baseline_psnr_db=base_psnr,
-        baseline_vmaf=base_vmaf,
         bitrate_gain_pct=100.0 * (base_bitrate - avg_bitrate) / base_bitrate,
         delta_psnr_db=avg_psnr - base_psnr,
         delta_vmaf=(avg_vmaf - base_vmaf)

@@ -1,12 +1,14 @@
 """Codec configuration grids, external encoder drivers, synthetic encoder.
 
-Each codec exposes a Cartesian configuration grid (GOP structure x QP x
-filter flags, plus open/closed GOP for x265).  Real encoders are driven as
-black boxes through shell command templates with ``{input}``, ``{output}``,
-``{qp}``, ``{gop}``, ``{gop_type}``, ``{preset}``, ``{keyint}``, ``{frames}``,
-``{width}``, ``{height}``, ``{fps}``, ``{threads}`` and a 0/1 ``{deblock}``,
-``{sao}`` or ``{restoration}`` per filter flag; the VMAF template has
-``{reference}``, ``{distorted}`` and ``{log}`` instead of input and output.
+A codec's configuration space is one :class:`CodecGrid` (GOP structure x
+QP x filter flags, plus open/closed GOP for x265): its ``configs()`` are
+what a sweep encodes, its ``config()`` what the segment loop encodes.  Real
+encoders are driven as black boxes through shell command templates with
+``{input}``, ``{output}``, ``{qp}``, ``{gop}``, ``{gop_type}``, ``{preset}``,
+``{keyint}``, ``{frames}``, ``{width}``, ``{height}``, ``{fps}``,
+``{threads}`` and a 0/1 ``{deblock}``, ``{sao}`` or ``{restoration}`` per
+filter flag; the VMAF template has ``{reference}``, ``{distorted}`` and
+``{log}`` instead of input and output.
 Bitrate comes from the output payload size and encoding rate from the
 encoder's wall-clock time.  An encode maps only its own segment of the source
 file and drops it when measured, so memory follows one segment, not the clip.
@@ -14,7 +16,8 @@ Every batch of independent encodes (a sweep, the bootstrap grid, the
 constant-QP baseline) runs through :func:`encode_batch`, on as many threads
 as the encoder's ``workers``.  A sweep table row is a measurement and its
 Pareto flag: :func:`read_sweep_table` gives ``(SegmentMeasurement, flag)``
-pairs and :func:`write_sweep_table` writes them back byte for byte.
+pairs, :func:`check_sweep_rows` checks them against the run that resumes
+the table, and :func:`write_sweep_table` writes them back byte for byte.
 
 The synthetic encoder evaluates a known ground-truth law
 
@@ -128,11 +131,21 @@ class CodecGrid:
     preset: str | None
     newton_start: float
 
-    def filter_combos(self) -> list[Filters]:
+    def configs(self) -> list[EncodingConfig]:
+        """The Cartesian grid in (GOP, QP, GOP type, filter flags) order."""
         if self.joint_filters and self.filter_axes:
-            return [tuple((ax, on) for ax in self.filter_axes) for on in (False, True)]
-        flags = itertools.product((False, True), repeat=len(self.filter_axes))
-        return [tuple(zip(self.filter_axes, values)) for values in flags]
+            combos = [tuple((ax, on) for ax in self.filter_axes) for on in (False, True)]
+        else:
+            flags = itertools.product((False, True), repeat=len(self.filter_axes))
+            combos = [tuple(zip(self.filter_axes, values)) for values in flags]
+        axes = itertools.product(self.gops, self.qps, self.gop_types or (None,), combos)
+        return [EncodingConfig(self.codec, gop, qp, filters, gop_type, self.preset)
+                for gop, qp, gop_type, filters in axes]
+
+    def config(self, gop: str, qp: int, filters: Filters) -> EncodingConfig:
+        """What the segment loop encodes: a closed GOP where the codec has GOP types."""
+        return EncodingConfig(self.codec, gop, qp, filters,
+                              "closed" if self.gop_types else None, self.preset)
 
     def gop_rank(self, gop: str) -> int:
         return self.gops.index(gop) if gop in self.gops else len(self.gops)
@@ -187,19 +200,9 @@ def grid_for(codec: str) -> CodecGrid:
         raise EncoderError(f"unknown codec {codec!r}") from None
 
 
-def _expand_grid(grid: CodecGrid) -> list[EncodingConfig]:
-    axes = itertools.product(grid.gops, grid.qps, grid.gop_types or (None,), grid.filter_combos())
-    return [EncodingConfig(grid.codec, gop, qp, filters, gop_type, grid.preset)
-            for gop, qp, gop_type, filters in axes]
-
-
 def enumerate_configs(codec: str) -> list[EncodingConfig]:
-    """Full Cartesian grid of a codec in ``CODEC_GRIDS``, in (GOP, QP, flags) order.
-
-    x265 yields 200 configurations (open and closed GOP), svt-av1 240 and
-    vp9 100, each at its grid's one preset.
-    """
-    return _expand_grid(grid_for(codec))
+    """``grid_for(codec).configs()``: 200 for x265 (open and closed GOP), 240 svt-av1, 100 vp9."""
+    return grid_for(codec).configs()
 
 
 class Encoder(Protocol):
@@ -318,7 +321,7 @@ class SyntheticEncoder:
         return self.law.grid()
 
     def configs(self) -> list[EncodingConfig]:
-        return _expand_grid(self.grid())
+        return self.grid().configs()
 
     def encode(self, config: EncodingConfig, segment: Segment) -> SegmentMeasurement:
         self.encode_calls += 1
@@ -393,7 +396,7 @@ class ProcessEncoder:
         return grid_for(self.codec)
 
     def configs(self) -> list[EncodingConfig]:
-        return enumerate_configs(self.codec)
+        return self.grid().configs()
 
     def _substitutions(self, config: EncodingConfig, segment: Segment, **paths: str) -> dict:
         subs = {
@@ -571,6 +574,36 @@ def read_sweep_table(path: str | Path) -> list[SweepRow]:
     """
     return list(records.read_rows(path, EncoderError, "a sweep row", len(SWEEP_COLUMNS),
                                   _table_row, marker=("#segenc-sweep", "a sweep table")))
+
+
+def check_sweep_rows(path: str | Path, rows: Iterable[SweepRow], frames: Mapping[tuple, int],
+                     codec: str) -> set[tuple]:
+    """The rows' keys, each checked against the run that reads the table.
+
+    ``frames`` maps the :func:`config_row_key` of every row the run would
+    encode to its segment's frame count.  A row off that map, outside its
+    segments, repeated, or whose fps x encode time (unless fps is ``inf``) is
+    not that frame count raises EncoderError naming the row.
+    """
+    last = max(key[0] for key in frames)
+    done: set[tuple] = set()
+    for m, _ in rows:
+        c = m.config
+        key = config_row_key(m.segment_index, c)
+        if not 0 <= m.segment_index <= last:
+            problem = f"is not among the run's segments 0..{last}"
+        elif key not in frames:
+            problem = f"is not in the {codec} grid"
+        elif key in done:
+            problem = "is in the table more than once"
+        elif m.enc_rate != math.inf and round(m.enc_rate * m.enc_time) != frames[key]:
+            problem = f"encodes {m.enc_rate * m.enc_time:.0f} frames, its segment {frames[key]}"
+        else:
+            done.add(key)
+            continue
+        row = " ".join((c.codec, c.gop, c.gop_type or "-", f"QP {c.qp}", c.filters_label()))
+        raise EncoderError(f"{path}: the segment {m.segment_index} row {row} {problem}")
+    return done
 
 
 def write_sweep_table(path: str | Path, rows: Iterable[SweepRow]) -> None:

@@ -58,12 +58,6 @@ class RdModel:
             acc = acc * qp + c
         return acc
 
-    def log_slope(self, qp: float) -> float:
-        acc = 0.0
-        for i in range(self.order, 0, -1):
-            acc = acc * qp + i * self.coefficients[i]
-        return acc
-
     def in_range(self, qp: float) -> bool:
         return self.qp_min - 1e-9 <= qp <= self.qp_max + 1e-9
 

@@ -134,6 +134,18 @@ class TestOptimize:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ("--min-vmaf", 90, "--reference-vmaf", 95, "--jnd-offset", 20),
+        ("--min-quality-db", 30, "--reference-vmaf", 95),
+        ("--min-vmaf", 90, "--jnd-offset", 5),
+    ], ids=["min-vmaf-and-jnd-floor", "reference-without-offset", "offset-without-reference"])
+    def test_vmaf_floor_flags_that_do_not_fit_are_usage_errors(self, capsys, flags):
+        # the first two ran with exit 0 on one floor and dropped the other flags
+        code = run_cli("optimize", "--codec", "synthetic", "--frames", 300, "--fps", 50,
+                       "--mode", "min_bitrate", "--min-fps", 1, *flags)
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_ssim_schedule_on_synthetic_is_data_error(self, tmp_path, capsys):
         schedule = {
             "version": 1,
@@ -1011,6 +1023,32 @@ class TestResumedTableChecks:
         assert f"data error: {out}: the segment 0 row synthetic B6 - QP 16 deblock=on " in err
         assert "more than once" in err
         assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("first, resumed, problem", [
+        (("--frames", 300, "--segment-seconds", 3), ("--frames", 300, "--segment-seconds", 1),
+         "encodes 150 frames, its segment 50"),
+        (("--frames", 300), ("--frames", 150), "is not among the run's segments 0..0"),
+    ], ids=["shorter-segments", "fewer-frames"])
+    def test_table_of_another_run_is_a_data_error(self, tmp_path, capsys, first, resumed,
+                                                  problem):
+        # both resumed with exit 0: rows of two segment lengths side by side,
+        # or rows of a segment the run does not have
+        sweep = ("sweep", "--codec", "synthetic", "--fps", 50)
+        out = tmp_path / "sweep.tsv"
+        assert run_cli(*sweep, *first, "--out", out) == 0
+        before = out.read_bytes()
+        assert run_cli(*sweep, *resumed, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {out}: the segment " in err and problem in err
+        assert out.read_bytes() == before
+
+    def test_next_segment_resumes_beside_the_first(self, tmp_path):
+        sweep = ("sweep", "--codec", "synthetic", "--frames", 300, "--fps", 50)
+        whole, out = tmp_path / "whole.tsv", tmp_path / "sweep.tsv"
+        assert run_cli(*sweep, "--out", whole) == 0
+        assert run_cli(*sweep, "--segment", 0, "--out", out) == 0
+        assert run_cli(*sweep, "--segment", 1, "--out", out) == 0
+        assert out.read_bytes() == whole.read_bytes()
 
     def test_infinite_fps_is_read(self, tmp_path):
         out = tmp_path / "sweep.tsv"

@@ -149,11 +149,7 @@ class TestChooseGop:
     def test_single_group_is_returned(self):
         enc = SyntheticEncoder()
         state = bootstrap(enc, segments_500()[0], MAXQ)
-        grid = enc.grid()
-        key, _, sol = choose_gop_model(
-            state, MAXQ, grid_bounds=grid.qp_bounds, gop_rank=grid.gop_rank,
-            newton_start=grid.newton_start,
-        )
+        key, _, sol = choose_gop_model(state, MAXQ, grid=enc.grid())
         assert key[0] == "B6"
         assert sol.qp_int == 28
 
@@ -164,11 +160,7 @@ class TestChooseGop:
         law = SyntheticLaw({"B6": B6, "B3": B3})
         enc = SyntheticEncoder(law)
         state = bootstrap(enc, segments_500()[0], MAXQ)
-        grid = enc.grid()
-        key, models, sol = choose_gop_model(
-            state, MAXQ, grid_bounds=grid.qp_bounds, gop_rank=grid.gop_rank,
-            newton_start=grid.newton_start,
-        )
+        key, models, sol = choose_gop_model(state, MAXQ, grid=enc.grid())
         q_b6 = law.value("B6", "psnr", 28)
         q_b3 = law.value("B3", "psnr", 29)  # B3 needs QP 29 to fit the band
         assert q_b6 > q_b3

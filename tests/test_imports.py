@@ -1,8 +1,9 @@
-"""Every name a ``segenc`` module imports is used in that module.
+"""Every name a ``segenc`` module imports is used in that module, and every
+function, method and dataclass field it defines is read somewhere.
 
 No linter ships with the project, so this walks each module's syntax tree
-with the standard library.  ``__init__.py`` is skipped: its imports are the
-package's public names.
+with the standard library.  ``__init__.py`` is skipped by the import check:
+its imports are the package's public names.
 """
 
 import ast
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "segenc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "segenc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -36,3 +38,50 @@ def test_unused_import_is_caught():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defined_names(source: str) -> dict[str, int]:
+    """Functions, methods and class-level annotated fields, with their lines; no dunders."""
+    defined: dict[str, int] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    defined[item.target.id] = item.lineno
+    return {name: line for name, line in defined.items()
+            if not (name.startswith("__") and name.endswith("__"))}
+
+
+def loaded_names(source: str, *, strings: bool) -> set[str]:
+    """Names read as a ``Name`` or an ``Attribute``, and string constants if ``strings``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)  # getattr(cs, "tol_bitrate") reads a field too
+    return names
+
+
+def test_unread_definition_is_caught():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass\nclass A:\n    kept: int\n    dropped: int\n    named: int\n"
+              "    def used(self): return self.kept\n    def unused(self): pass\n"
+              "    def __repr__(self): return ''\n"
+              "print(A(1, 2, 3).used(), 'named')\n")
+    reads = loaded_names(source, strings=True)
+    assert [name for name in defined_names(source) if name not in reads] == ["dropped", "unused"]
+
+
+def test_every_definition_is_read():
+    reads = set().union(*(loaded_names(p.read_text(), strings=True) for p in SRC.glob("*.py")))
+    for folder in ("tests", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            reads |= loaded_names(path.read_text(), strings=False)
+    unread = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
+              for name, line in defined_names(path.read_text()).items() if name not in reads]
+    assert unread == []

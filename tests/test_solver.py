@@ -315,7 +315,7 @@ class TestSolveConstrained:
     def test_pipeline_never_leaves_grid(self, rng):
         for _ in range(100):
             bits = random_monotone_quadratic(rng)
-            while bits.log_slope(16) >= 0 or bits.log_slope(43) >= 0:
+            while any(bits.coefficients[1] + 2 * bits.coefficients[2] * q >= 0 for q in (16, 43)):
                 bits = random_monotone_quadratic(rng)
             quality = random_monotone_quadratic(rng)
             rate = random_monotone_quadratic(rng)
