@@ -10,15 +10,17 @@ relative changes in the per-frame prediction-unit count, and each label
 maps to a constraint set through a policy.
 
 MV files are read into columns, a frame-number array and an ``(n, 2)``
-vector array, by one numpy parse; a region's vectors are a mask over the
-frame column.  The U test is scipy's, run once per group of bins that share
-a tie class.  ``select_bins`` imports it when first called, so importing
-this module, and every command that never selects bins, does not load
-scipy.
+vector array, by one numpy parse of the file's bytes; a region's vectors are
+a mask over the frame column.  The U test is two-sided and follows scipy's
+``mannwhitneyu`` defaults, in numpy and the standard library alone: the
+exact null distribution for a bin without ties when one class has at most 8
+samples, else the tie-corrected normal approximation with continuity
+correction.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import records
+from .bd import average_ranks
 from .solver import ConstraintSet
 
 HIST_BINS = 25
@@ -35,6 +38,7 @@ MAG_MAX = 32.0  # pixels/frame covered by the magnitude histogram
 PU_WINDOW = 25  # frames per prediction-unit averaging window
 PU_THRESHOLD = 0.30
 BIN_ALPHA = 0.05
+EXACT_MAX_SAMPLES = 8  # the U test is exact, without ties, when a class has at most this many
 
 LABELS = ("tracking", "stationary", "zoom")
 PAIRS = (("tracking", "stationary"), ("stationary", "zoom"), ("tracking", "zoom"))
@@ -95,25 +99,59 @@ class BinSelection:
     fallback: bool = False  # no bin discriminated; all bins used instead
 
 
-def _bin_p_values(a_vecs: np.ndarray, b_vecs: np.ndarray) -> np.ndarray:
-    """Two-sided U-test p-value of each bin (column); NaN where all values are equal.
+@functools.cache
+def _u_null_cdf(n1: int, n2: int) -> np.ndarray:
+    """P(U <= u), u = 0..n1*n2, for two samples of distinct values from one distribution.
 
-    The bins that vary are tested in at most two scipy calls, one for the
-    bins with tied values and one for those without, because scipy picks
-    the exact or the tie-corrected test from ties anywhere in its input.
-    Each p-value is then the one a call on that bin alone gives.
+    The number of orderings giving each U is a coefficient of the Gaussian
+    binomial [n1 + n2 choose n1] in q, the product over i = 1..n1 of
+    (1 - q^(n2 + i)) / (1 - q^i).  The counts are exact while C(n1 + n2, n1)
+    is below 2**53; as in scipy, each is divided by that total and the
+    quotients are summed in order.
     """
-    from scipy import stats  # about 1 s to import, so only when bins are selected
+    size = n1 * n2 + 1
+    counts = np.zeros(size)
+    counts[0] = 1.0
+    for i in range(1, n1 + 1):
+        step = n2 + i
+        counts[step:] -= counts[: size - step].copy()  # times 1 - q^(n2 + i)
+        # divided by 1 - q^i: a running sum along every i-th coefficient
+        padded = np.zeros(-(-size // i) * i)
+        padded[:size] = counts
+        counts = padded.reshape(-1, i).cumsum(axis=0).ravel()[:size]
+    cdf = np.cumsum(counts / math.comb(n1 + n2, n1))
+    cdf.flags.writeable = False  # one cached array serves every caller
+    return cdf
 
+
+def _bin_p_values(a_vecs: np.ndarray, b_vecs: np.ndarray) -> np.ndarray:
+    """Two-sided Mann-Whitney U p-value of each bin (column); NaN where all values are equal.
+
+    Each varying bin is tested alone, with scipy's ``mannwhitneyu``
+    defaults: average ranks, U = max(U1, n1*n2 - U1) and the p-value twice
+    the upper tail at U, clipped to [0, 1].  A bin without ties takes the
+    exact null distribution when a class has at most ``EXACT_MAX_SAMPLES``
+    samples; any other bin takes the normal approximation with tie and
+    continuity corrections.
+    """
+    n1, n2 = len(a_vecs), len(b_vecs)
+    n = n1 + n2
     both = np.concatenate([a_vecs, b_vecs])
     varying = np.flatnonzero(np.ptp(both, axis=0) != 0.0)
-    ordered = np.sort(both[:, varying], axis=0)
-    tied = (ordered[1:] == ordered[:-1]).any(axis=0)
+    ranks, runs = average_ranks(both[:, varying])
+    u1 = ranks[:n1].sum(axis=0) - n1 * (n1 + 1) / 2
+    u = np.maximum(u1, n1 * n2 - u1)
+    exact = ~(runs > 1).any(axis=0) & (min(n1, n2) <= EXACT_MAX_SAMPLES)
+    tail = np.empty(varying.size)
+    if exact.any():
+        # the tail at U is the lower tail at n1*n2 - U, as the law is symmetric
+        tail[exact] = _u_null_cdf(min(n1, n2), max(n1, n2))[(n1 * n2 - u[exact]).astype(int)]
+    tie_term = (runs[:, ~exact] ** 3 - runs[:, ~exact]).sum(axis=0)
+    sd = np.sqrt(n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1))))
+    z = (u[~exact] - n1 * n2 / 2 - 0.5) / sd
+    tail[~exact] = [0.5 * math.erfc(v * math.sqrt(0.5)) for v in z.tolist()]  # P(Z > z)
     p = np.full(both.shape[1], np.nan)
-    for group in (varying[tied], varying[~tied]):
-        if group.size:
-            p[group] = stats.mannwhitneyu(a_vecs[:, group], b_vecs[:, group],
-                                          alternative="two-sided", axis=0).pvalue
+    p[varying] = np.clip(2 * tail, 0.0, 1.0)
     return p
 
 
@@ -229,6 +267,9 @@ def apply_policy(label: str, policy: ActivityPolicy) -> ConstraintSet:
 _MV_COLUMNS = np.dtype([("frame", np.int64), ("block_x", np.float64),
                         ("block_y", np.float64), ("dx", np.float64), ("dy", np.float64)])
 _PLAIN_TEXT = bytes(range(0x20, 0x7F)) + b"\t\n"
+# commas split cells, and a carriage return ends a line as in the line
+# reader's universal newlines (CRLF adds a blank line, which both skip)
+_MV_BLANKS = bytes.maketrans(b",\r", b" \n")
 _INT64 = range(-(2**63), 2**63)
 
 
@@ -244,18 +285,19 @@ def read_mv_field(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the frame numbers (int64) and the ``(n, 2)`` float64 motion
     vectors, both in file order.  Cells split on commas or whitespace.  A
-    file of plain numeric records is parsed in one ``np.loadtxt`` call; any
-    other file (``#`` comment lines, non-numeric block cells, a bad record)
+    file of plain numeric records is parsed in one ``np.loadtxt`` call on its
+    bytes (a ``StringIO`` would hold 4 bytes a character); any other file
+    (``#`` comment lines, non-numeric block cells, a bad record)
     goes through the line reader, which gives the same values for what both
     accept and names file:line for a bad record.
     """
-    text = records.read_text(path, ActivityError).replace(",", " ")
+    data = records.read_bytes(path, ActivityError).translate(_MV_BLANKS)
     # numpy splits lines and cells as the line reader does only in printable
     # ASCII, tabs and newlines; a blank file, commas counted as blanks, gets
     # the line reader's error
-    if text.strip() and text.isascii() and not text.encode("ascii").translate(None, _PLAIN_TEXT):
+    if data.strip() and not data.translate(None, _PLAIN_TEXT):
         try:
-            parsed = np.loadtxt(io.StringIO(text), dtype=_MV_COLUMNS, comments=None, ndmin=1)
+            parsed = np.loadtxt(io.BytesIO(data), dtype=_MV_COLUMNS, comments=None, ndmin=1)
         except ValueError:  # the line reader accepts the file or names the bad line
             pass
         else:

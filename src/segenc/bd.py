@@ -13,8 +13,9 @@ logs are used; the result is base-independent since any base cancels in
 the exp-of-mean-of-differences.
 
 SROCC (Spearman, average ranks on ties) and PCC (Pearson) cover the
-quality-assessment correlation protocol.  ``srocc`` imports scipy for its
-ranks when called; nothing else here needs more than numpy.
+quality-assessment correlation protocol.  ``average_ranks`` gives the ranks,
+scipy's ``rankdata`` average ranks in numpy alone; ``activity``'s U test
+ranks through it too.
 """
 
 from __future__ import annotations
@@ -132,16 +133,40 @@ def format_bd_matrix(curves: Sequence[RdCurve], matrix: list[list[float | None]]
     return "\n".join(lines)
 
 
+def average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks 1..n along axis 0, and the sizes of the runs of equal values.
+
+    A run of t equal values shares the mean of its t ranks, as in scipy's
+    ``rankdata``, column by column for a 2-D input.  Run sizes come in
+    sorted order: a run's size at its first value, 0 at the others.  Both
+    arrays have the input's shape.  A NaN anywhere makes every rank NaN,
+    as ``rankdata`` does by default.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan), np.zeros(values.shape)
+    order = np.argsort(values, axis=0, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=0)
+    changes = ordered[1:] != ordered[:-1]
+    edge = np.ones((1, *values.shape[1:]), dtype=bool)
+    starts = np.concatenate([edge, changes])
+    position = np.arange(len(values)).reshape(-1, *[1] * (values.ndim - 1))
+    # the sorted positions of each run's first and last value
+    first = np.maximum.accumulate(np.where(starts, position, 0), axis=0)
+    last = np.minimum.accumulate(
+        np.where(np.concatenate([changes, edge]), position, len(values))[::-1], axis=0)[::-1]
+    ranks = np.empty_like(values)
+    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=0)
+    return ranks, np.where(starts, last - first + 1, 0).astype(np.float64)
+
+
 def srocc(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rank-order correlation; ties take average ranks.
 
     Ranks keep the size of their input, and only a constant input has
     constant ranks, so ``pcc`` rejects what Spearman cannot rank.
     """
-    from scipy import stats
-
-    return pcc(stats.rankdata(np.asarray(x, dtype=np.float64)),
-               stats.rankdata(np.asarray(y, dtype=np.float64)))
+    return pcc(average_ranks(x)[0], average_ranks(y)[0])
 
 
 def pcc(x: Sequence[float], y: Sequence[float]) -> float:

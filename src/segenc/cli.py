@@ -165,8 +165,7 @@ def _sweep(args, encoder, segments: list[media.Segment]) -> int:
     (``pareto.measured_points``): VMAF when every row has it, else PSNR.
     """
     configs = encoder.configs()
-    frames = {encoders.config_row_key(s.index, c): s.frame_count
-              for s in segments for c in configs}
+    segment_frames = [s.frame_count for s in segments]
     if args.segment is not None:
         if not 0 <= args.segment < len(segments):
             raise UsageError(f"--segment {args.segment} is not in 0..{len(segments) - 1}")
@@ -175,7 +174,9 @@ def _sweep(args, encoder, segments: list[media.Segment]) -> int:
     out = Path(args.out)
     try:  # a table we cannot resume from is bad input, not an encoder failure
         rows = encoders.read_sweep_table(out) if out.exists() else []
-        done = encoders.check_sweep_rows(out, rows, frames, encoder.grid().codec)
+        done = encoders.check_sweep_rows(out, rows, segment_frames,
+                                         {encoders.config_key(c) for c in configs},
+                                         encoder.grid().codec)
     except EncoderError as exc:
         raise DataError(str(exc)) from None
 

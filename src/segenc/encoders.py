@@ -41,7 +41,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Protocol
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence
 
 from . import media, records
 from .coefficients import REFERENCE_MODEL_SETS, ModelSet
@@ -576,28 +576,31 @@ def read_sweep_table(path: str | Path) -> list[SweepRow]:
                                   _table_row, marker=("#segenc-sweep", "a sweep table")))
 
 
-def check_sweep_rows(path: str | Path, rows: Iterable[SweepRow], frames: Mapping[tuple, int],
-                     codec: str) -> set[tuple]:
-    """The rows' keys, each checked against the run that reads the table.
+def check_sweep_rows(path: str | Path, rows: Iterable[SweepRow], segment_frames: Sequence[int],
+                     configs: set[tuple], codec: str) -> set[tuple]:
+    """The rows' :func:`config_row_key` keys, each checked against the run that reads the table.
 
-    ``frames`` maps the :func:`config_row_key` of every row the run would
-    encode to its segment's frame count.  A row off that map, outside its
-    segments, repeated, or whose fps x encode time (unless fps is ``inf``) is
-    not that frame count raises EncoderError naming the row.
+    ``segment_frames`` holds the frame count of each of the run's segments,
+    in segment order, and ``configs`` the :func:`config_key` of every
+    configuration the run encodes in each segment.  A row outside those
+    segments, off that grid, repeated, or whose fps x encode time (unless
+    fps is ``inf``) is not its segment's frame count raises EncoderError
+    naming the row.
     """
-    last = max(key[0] for key in frames)
     done: set[tuple] = set()
     for m, _ in rows:
         c = m.config
         key = config_row_key(m.segment_index, c)
-        if not 0 <= m.segment_index <= last:
-            problem = f"is not among the run's segments 0..{last}"
-        elif key not in frames:
+        if not 0 <= m.segment_index < len(segment_frames):
+            problem = f"is not among the run's segments 0..{len(segment_frames) - 1}"
+        elif config_key(c) not in configs:
             problem = f"is not in the {codec} grid"
         elif key in done:
             problem = "is in the table more than once"
-        elif m.enc_rate != math.inf and round(m.enc_rate * m.enc_time) != frames[key]:
-            problem = f"encodes {m.enc_rate * m.enc_time:.0f} frames, its segment {frames[key]}"
+        elif (m.enc_rate != math.inf
+              and round(m.enc_rate * m.enc_time) != segment_frames[m.segment_index]):
+            problem = (f"encodes {m.enc_rate * m.enc_time:.0f} frames, "
+                       f"its segment {segment_frames[m.segment_index]}")
         else:
             done.add(key)
             continue
@@ -616,7 +619,12 @@ def table_measurement(m: SegmentMeasurement) -> SegmentMeasurement:
     return _table_row(*_cells(m, None))[0]
 
 
-def config_row_key(segment_index: int, config: EncodingConfig) -> tuple:
-    """A sweep row's key: the segment and the config less its preset, which the table lacks."""
+def config_key(config: EncodingConfig) -> tuple:
+    """A configuration as a sweep row holds it: all but its preset, which the table lacks."""
     c = config
-    return (segment_index, c.codec, c.gop, c.gop_type, c.qp, c.filters)
+    return (c.codec, c.gop, c.gop_type, c.qp, c.filters)
+
+
+def config_row_key(segment_index: int, config: EncodingConfig) -> tuple:
+    """A sweep row's key: its segment and its :func:`config_key`."""
+    return (segment_index, *config_key(config))

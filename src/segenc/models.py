@@ -12,8 +12,7 @@ re-expanded to the plain uncentered convention, so
 
     predict(model, qp) == exp(c0 + c1*qp + c2*qp^2 + ...)
 
-A fit records its adjusted R^2 and largest residual; nothing here needs
-scipy.
+A fit records its adjusted R^2 and largest residual.
 """
 
 from __future__ import annotations

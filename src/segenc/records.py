@@ -14,6 +14,14 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 
+def read_bytes(path: str | Path, error: type[Exception]) -> bytes:
+    """The file's bytes; a missing or unreadable file raises ``error``."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+
+
 def read_text(path: str | Path, error: type[Exception]) -> str:
     """The file's text; a missing, unreadable or non-UTF-8 file raises ``error``."""
     try:

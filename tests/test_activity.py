@@ -127,7 +127,7 @@ class TestBinSelection:
 
 
 class TestBinPValues:
-    """One scipy call per tie class gives the p-values of one call per bin."""
+    """The numpy U test gives the p-values of one scipy ``mannwhitneyu`` call per bin."""
 
     @staticmethod
     def per_bin(a_vecs, b_vecs):
@@ -153,18 +153,38 @@ class TestBinPValues:
                 a_vecs = np.array([f.vector() for lbl, f in training if lbl == pair[0]])
                 b_vecs = np.array([f.vector() for lbl, f in training if lbl == pair[1]])
                 expected = self.per_bin(a_vecs, b_vecs)
-                got = activity._bin_p_values(a_vecs, b_vecs)
-                assert [None if math.isnan(p) else p.hex() for p in got.tolist()] == [
-                    None if p is None else p.hex() for p in expected
-                ]
+                got = activity._bin_p_values(a_vecs, b_vecs).tolist()
+                both = np.concatenate([a_vecs, b_vecs])
+                for col, p, want in zip(both.T, got, expected):
+                    if want is None:
+                        assert math.isnan(p)
+                        continue
+                    tied = len(np.unique(col)) < len(col)
+                    tie_kinds.add(tied)
+                    if tied:  # the normal tail: math.erfc against scipy's own erfc
+                        assert p == pytest.approx(want, rel=1e-13, abs=0.0)
+                    else:  # the exact tail, summed as scipy sums it
+                        assert p.hex() == want.hex()
                 chosen = [i for i, p in enumerate(expected) if p is not None and p <= BIN_ALPHA]
                 selection = select_bins(training, pair)
                 assert selection.indices == (tuple(chosen) or tuple(range(50)))
                 assert selection.fallback == (not chosen)
-                both = np.concatenate([a_vecs, b_vecs])
-                tie_kinds |= {len(np.unique(col)) < len(col)
-                              for col, p in zip(both.T, expected) if p is not None}
-        assert tie_kinds == {True, False}  # both scipy calls were made
+        assert tie_kinds == {True, False}  # both the exact and the normal tail were taken
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n1=st.integers(2, 12), n2=st.integers(2, 12),
+           columns=st.integers(1, 4))
+    def test_untied_bins_match_scipy(self, data, n1, n2, columns):
+        # distinct values, so only their order counts: one permutation per bin
+        orders = [data.draw(st.permutations(range(n1 + n2))) for _ in range(columns)]
+        values = np.array(orders, dtype=np.float64).T / (n1 + n2)
+        a_vecs, b_vecs = values[:n1], values[n1:]
+        got = activity._bin_p_values(a_vecs, b_vecs).tolist()
+        for p, want in zip(got, self.per_bin(a_vecs, b_vecs)):
+            if min(n1, n2) <= activity.EXACT_MAX_SAMPLES:
+                assert p.hex() == want.hex()
+            else:  # scipy takes the normal tail here, ties or not
+                assert p == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestClassify:
@@ -386,6 +406,27 @@ class TestMvReader:
         frames, vectors = read_mv_field(path)
         assert frames.dtype == np.int64 and vectors.shape == (4, 2)
         assert hexed(frames, vectors) == expected
+
+    def test_carriage_returns_stay_one_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "field.mv"
+        path.write_bytes(b"0 0 0 1.5 -2\r\n1,0,0,3,4\r2 0 0 5 6\r\n")
+        expected = line_reader(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the line reader was used")
+
+        monkeypatch.setattr(records, "read_rows", refuse)
+        assert hexed(*read_mv_field(path)) == expected
+
+    @pytest.mark.parametrize("content", [None, b"0 0 0 1 2\n0 0 0 \xff 2\n"],
+                             ids=["missing", "not-utf-8"])
+    def test_unreadable_file_is_named(self, tmp_path, content):
+        path = tmp_path / "field.mv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ActivityError, match="cannot read") as info:
+            read_mv_field(path)
+        assert str(path) in str(info.value)
 
     def test_bad_line_deep_in_a_large_file_is_named(self, tmp_path):
         path = tmp_path / "field.mv"

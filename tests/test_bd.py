@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segenc.bd import (
     BdError,
     RdCurve,
+    average_ranks,
     bd_matrix,
     bd_rate,
     curves_from_records,
@@ -128,6 +130,29 @@ class TestMatrix:
         b = RdCurve("half", tuple((r / 2, q) for r, q in a.points))
         matrix = bd_matrix([b, a])  # row "half" vs column "orig"
         assert matrix[0][1] == pytest.approx(50.0, abs=1e-6)
+
+
+# few distinct values, so most draws hold ties; -0.0 ties with 0.0
+_TIED_FLOATS = st.sampled_from([-np.inf, -2.5, -0.0, 0.0, 1e-300, 0.1, 0.3, 7.0, 1e300])
+
+
+class TestAverageRanks:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(_TIED_FLOATS | st.floats(allow_nan=False),
+                                  min_size=6, max_size=6), min_size=1, max_size=30))
+    def test_equals_scipy_rankdata(self, rows):
+        from scipy import stats
+
+        values = np.array(rows, dtype=np.float64)  # each column is ranked on its own
+        ranks, runs = average_ranks(values)
+        assert ranks.tobytes() == stats.rankdata(values, axis=0).tobytes()
+        for col, col_runs in zip(values.T, runs.T):
+            assert average_ranks(col)[0].tobytes() == stats.rankdata(col).tobytes()
+            sizes = np.unique(col, return_counts=True)[1]
+            assert col_runs[col_runs > 0].tolist() == sizes.tolist()
+
+    def test_nan_makes_every_rank_nan(self):
+        assert np.isnan(average_ranks([1.0, np.nan, 2.0])[0]).all()
 
 
 class TestCorrelations:

@@ -759,10 +759,7 @@ class TestMetrics:
 
 
 class TestImportBudget:
-    """Only ``classify`` pays for importing scipy, through ``select_bins``.
-
-    ``srocc`` imports it too, but no command calls it.
-    """
+    """No command loads scipy, which costs about 50 MB of resident memory."""
 
     PROBE = (
         "import sys\n"
@@ -771,10 +768,10 @@ class TestImportBudget:
         "print(code, 'scipy' in sys.modules)\n"
     )
 
-    def probe(self, tmp_path, *args):
+    def probe(self, tmp_path, *args, preamble=""):
         # the child inherits the PYTHONPATH that conftest points at src/
         proc = subprocess.run(
-            [sys.executable, "-c", self.PROBE, *map(str, args)],
+            [sys.executable, "-c", preamble + self.PROBE, *map(str, args)],
             capture_output=True, text=True, cwd=tmp_path, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -804,22 +801,29 @@ class TestImportBudget:
             "--mode", "min_bitrate", "--min-quality-db", 30.0, "--min-fps", 0.01,
         )
 
-    def test_bdrate_leaves_scipy_unloaded(self, tmp_path):
+    def bdrate_files(self, tmp_path):
         paths = [tmp_path / "a.rd", tmp_path / "b.rd"]
         for i, path in enumerate(paths):
             write_rd_file(path, TestBdrate().rd_rows(f"codec{i}", scale=1.0 + 0.3 * i))
-        assert not self.probe(tmp_path, "bdrate", *paths)
+        return paths
 
-    def test_classify_loads_scipy(self, tmp_path, rng):
-        # the guard above must not pass merely because nothing imports scipy
+    def test_bdrate_leaves_scipy_unloaded(self, tmp_path):
+        assert not self.probe(tmp_path, "bdrate", *self.bdrate_files(tmp_path))
+
+    def test_classify_leaves_scipy_unloaded(self, tmp_path, rng):
         mv_path, pu_path = write_mv_pu_files(tmp_path, rng)
         policy_path = tmp_path / "policy.json"
         policy_path.write_text(json.dumps({
             label: {"mode": "min_bitrate", "min_quality": 38.0, "min_fps": 25.0}
             for label in ("tracking", "stationary", "zoom")
         }))
-        assert self.probe(tmp_path, "classify", "--mv-file", mv_path, "--pu-file", pu_path,
-                          "--policy", policy_path)
+        assert not self.probe(tmp_path, "classify", "--mv-file", mv_path, "--pu-file", pu_path,
+                              "--policy", policy_path)
+
+    def test_probe_sees_a_loaded_scipy(self, tmp_path):
+        # the guards above must not pass merely because the probe cannot see scipy
+        assert self.probe(tmp_path, "bdrate", *self.bdrate_files(tmp_path),
+                          preamble="import scipy.stats\n")
 
 
 class TestEntryPoint:

@@ -1,5 +1,6 @@
-"""Every name a ``segenc`` module imports is used in that module, and every
-function, method and dataclass field it defines is read somewhere.
+"""Every name a ``segenc`` module imports is used in that module, no module
+imports scipy, and every function, method and dataclass field it defines is
+read somewhere.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library.  ``__init__.py`` is skipped by the import check:
@@ -38,6 +39,28 @@ def test_unused_import_is_caught():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level packages the source imports, at module level or inside a function."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_never_imports_scipy(path):
+    # scipy.stats alone adds about 50 MB of resident memory; tests keep it as an oracle
+    assert "scipy" not in imported_modules(path.read_text())
+
+
+def test_late_scipy_import_is_caught():
+    assert imported_modules("import os.path\ndef f():\n    from scipy import stats\n") == {
+        "os", "scipy"}
 
 
 def defined_names(source: str) -> dict[str, int]:
