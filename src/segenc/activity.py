@@ -9,13 +9,18 @@ wins is the region's activity.  Activity boundaries are detected from
 relative changes in the per-frame prediction-unit count, and each label
 maps to a constraint set through a policy.
 
-MV files are read into columns, a frame-number array and an ``(n, 2)``
-vector array, by one numpy parse of the file's bytes; a region's vectors are
-a mask over the frame column.  The U test is two-sided and follows scipy's
-``mannwhitneyu`` defaults, in numpy and the standard library alone: the
-exact null distribution for a bin without ties when one class has at most 8
-samples, else the tie-corrected normal approximation with continuity
-correction.
+MV and PU files are read into columns, MV files into a frame-number array
+and an ``(n, 2)`` vector array, by one ``np.loadtxt`` call that parses only
+the cells kept.  A plain regular file is named to numpy, which reads it in
+blocks; numpy would take a file object one line at a time.  A cell count
+keeps a line with extra cells an error, and any file numpy cannot give the
+line reader's values for is read line by line.  ``classify`` cuts a region's
+vectors out of the frame-sorted records.
+
+The U test is two-sided and follows scipy's ``mannwhitneyu`` defaults, in
+numpy and the standard library alone: the exact null distribution for a bin
+without ties when one class has at most 8 samples, else the tie-corrected
+normal approximation with continuity correction.
 """
 
 from __future__ import annotations
@@ -23,9 +28,11 @@ from __future__ import annotations
 import functools
 import io
 import math
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -264,20 +271,100 @@ def apply_policy(label: str, policy: ActivityPolicy) -> ConstraintSet:
 # file interfaces: MV field files, PU series files, policy files
 
 
-_MV_COLUMNS = np.dtype([("frame", np.int64), ("block_x", np.float64),
-                        ("block_y", np.float64), ("dx", np.float64), ("dy", np.float64)])
-_PLAIN_TEXT = bytes(range(0x20, 0x7F)) + b"\t\n"
-# commas split cells, and a carriage return ends a line as in the line
-# reader's universal newlines (CRLF adds a blank line, which both skip)
-_MV_BLANKS = bytes.maketrans(b",\r", b" \n")
+_MV_COLUMNS = np.dtype([("frame", np.int64), ("dx", np.float64), ("dy", np.float64)])
+_PU_COLUMNS = np.dtype([("frame", np.int64), ("count", np.float64)])
+# numpy splits lines and cells as the line reader does only in printable
+# ASCII, tabs and line ends; it reads a named file in text mode, which ends
+# a line at a carriage return as splitlines does
+_PLAIN_TEXT = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+# commas split cells, and in bytes a carriage return is made a line end
+# (CRLF adds a blank line, which both readers skip)
+_BLANKS = bytes.maketrans(b",\r", b" \n")
+# numpy opens a named file with one of these suffixes through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _INT64 = range(-(2**63), 2**63)
 
 
-def _mv_record(frame: str, _block_x: str, _block_y: str, dx: str, dy: str):
-    number = int(frame)
+def _frame(cell: str) -> int:
+    number = int(cell)
     if number not in _INT64:
-        raise ValueError(f"frame {frame} is out of range")
-    return number, float(dx), float(dy)
+        raise ValueError(f"frame {cell} is out of range")
+    return number
+
+
+def _mv_record(frame: str, _block_x: str, _block_y: str, dx: str, dy: str):
+    return _frame(frame), float(dx), float(dy)
+
+
+def _pu_record(frame: str, count: str):
+    return _frame(frame), float(count)
+
+
+def _version(path: str | Path) -> tuple[int, int, int, int] | None:
+    """What tells one content of a regular file from another; None for any other file."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    if not stat.S_ISREG(st.st_mode):  # a pipe, say, cannot be read a second time
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _cell_count(text: bytes) -> int:
+    """Whitespace-delimited cells of plain text: the runs of bytes above 0x20."""
+    filled = np.frombuffer(text, dtype=np.uint8) > 0x20
+    return int(np.count_nonzero(filled[1:] & ~filled[:-1]) + np.count_nonzero(filled[:1]))
+
+
+def _one_parse(path: str | Path, width: int, usecols: tuple[int, ...],
+               columns: np.dtype) -> np.ndarray | None:
+    """The file's records parsed by one ``np.loadtxt`` call; None leaves them to the line reader.
+
+    numpy reads a file object line by line, one Python string a line, but
+    a file named by a ``str`` in large blocks.  So a regular file of plain
+    text without commas is parsed by name, and any other plain file from
+    its bytes, commas made blanks.  ``usecols`` leaves the cells it skips
+    unparsed and accepts a line with extra cells, so the text's cell count
+    must be ``width`` cells a record.  numpy opens a named file a second
+    time: when its device, inode, size or modification time differ after
+    the parse, what was checked may not be what was parsed.
+    """
+    version = _version(path)
+    data = records.read_bytes(path, ActivityError)
+    if data.translate(None, _PLAIN_TEXT):
+        return None
+    named = version is not None and b"," not in data and not str(path).endswith(_COMPRESSED)
+    if not named:
+        data = data.translate(_BLANKS)
+    cells = _cell_count(data)
+    if not cells:  # a blank file gets the line reader's error
+        return None
+    source = os.path.abspath(path) if named else io.BytesIO(data)  # absolute: never a URL
+    try:
+        parsed = np.loadtxt(source, dtype=columns, usecols=usecols, comments=None,
+                            ndmin=1, encoding="ascii")
+    except (ValueError, OSError):  # the line reader names the bad line or the lost file
+        return None
+    if cells != width * len(parsed) or (named and _version(path) != version):
+        return None
+    return parsed
+
+
+def _read_records(path: str | Path, record: str, width: int, usecols: tuple[int, ...],
+                  columns: np.dtype, convert: Callable[..., tuple]) -> np.ndarray:
+    """The file's ``width``-cell records as ``columns`` (cells ``usecols``), in file order.
+
+    Parsed by :func:`_one_parse` where it can; otherwise (``#`` comment
+    lines, non-ASCII text, a bad record) by ``records.read_rows``, which
+    names file:line for a bad record and gives the same values for what
+    both accept.
+    """
+    parsed = _one_parse(path, width, usecols, columns)
+    if parsed is None:
+        rows = list(records.read_rows(path, ActivityError, record, width, convert))
+        parsed = np.array(rows, dtype=columns)
+    return parsed
 
 
 def read_mv_field(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -285,28 +372,17 @@ def read_mv_field(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the frame numbers (int64) and the ``(n, 2)`` float64 motion
     vectors, both in file order.  Cells split on commas or whitespace.  A
-    file of plain numeric records is parsed in one ``np.loadtxt`` call on its
-    bytes (a ``StringIO`` would hold 4 bytes a character); any other file
-    (``#`` comment lines, non-numeric block cells, a bad record)
-    goes through the line reader, which gives the same values for what both
-    accept and names file:line for a bad record.
+    plain file is parsed in one ``np.loadtxt`` call that converts the frame
+    and vector cells alone, and is named to numpy where it can be: numpy
+    turns a file object into one Python string a line, which makes the
+    parse about twice as long.  A guard on the cell count keeps a line
+    with extra cells an error, and any file numpy cannot give the line
+    reader's values for goes through the line reader (:func:`_read_records`).
     """
-    data = records.read_bytes(path, ActivityError).translate(_MV_BLANKS)
-    # numpy splits lines and cells as the line reader does only in printable
-    # ASCII, tabs and newlines; a blank file, commas counted as blanks, gets
-    # the line reader's error
-    if data.strip() and not data.translate(None, _PLAIN_TEXT):
-        try:
-            parsed = np.loadtxt(io.BytesIO(data), dtype=_MV_COLUMNS, comments=None, ndmin=1)
-        except ValueError:  # the line reader accepts the file or names the bad line
-            pass
-        else:
-            return parsed["frame"].copy(), np.column_stack([parsed["dx"], parsed["dy"]])
-    rows = list(records.read_rows(path, ActivityError, "an MV record", 5, _mv_record))
-    if not rows:
+    parsed = _read_records(path, "an MV record", 5, (0, 3, 4), _MV_COLUMNS, _mv_record)
+    if not parsed.size:
         raise ActivityError(f"{path}: empty MV field file")
-    frames = np.array([row[0] for row in rows], dtype=np.int64)
-    return frames, np.array([row[1:] for row in rows], dtype=np.float64)
+    return parsed["frame"].copy(), np.column_stack([parsed["dx"], parsed["dy"]])
 
 
 def read_pu_series(path: str | Path) -> list[float]:
@@ -314,22 +390,24 @@ def read_pu_series(path: str | Path) -> list[float]:
 
     Frames count from the clip's first frame, 0, as MV frames and
     ``optimize``'s segments do, so the series' positions are frame numbers;
-    a missing or repeated frame is an error naming it.
+    a missing or repeated frame is an error naming it.  The file is read as
+    MV files are (:func:`_read_records`), and the frames are checked on the
+    parsed column.
     """
-    counts: dict[int, float] = {}
-    for frame, count in records.read_rows(
-        path, ActivityError, "a PU record", 2, lambda frame, count: (int(frame), float(count))
-    ):
-        if frame in counts:
-            raise ActivityError(f"{path}: PU frame {frame} is given twice")
-        counts[frame] = count
-    if not counts:
+    parsed = _read_records(path, "a PU record", 2, (0, 1), _PU_COLUMNS, _pu_record)
+    if not parsed.size:
         raise ActivityError(f"{path}: empty PU series file")
-    missing = next((f for f in range(len(counts)) if f not in counts), None)
-    if missing is not None:
+    frames = parsed["frame"]
+    order = np.argsort(frames, kind="stable")
+    ranked = frames[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]  # every row but a frame's first
+    if repeats.size:
+        raise ActivityError(f"{path}: PU frame {frames[repeats.min()]} is given twice")
+    if ranked[0] != 0 or ranked[-1] != ranked.size - 1:  # n distinct frames: 0..n-1 only so
+        missing = np.setdiff1d(np.arange(ranked.size), ranked)[0]
         raise ActivityError(f"{path}: PU frames must run from 0 without a gap; "
                             f"frame {missing} is missing")
-    return [counts[f] for f in range(len(counts))]
+    return parsed["count"][order].tolist()
 
 
 def read_policy(path: str | Path) -> dict[str, ConstraintSet]:

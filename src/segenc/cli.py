@@ -292,8 +292,18 @@ def cmd_classify(args) -> int:
     pu_series = activity.read_pu_series(args.pu_file)
     policy = activity.read_policy(args.policy)
 
+    # a region's vectors are a run of the frame-sorted records, cut at its
+    # edges; a region's histograms do not depend on the order of its vectors
+    order = np.argsort(mv_frames, kind="stable")
+    frames, vectors_by_frame = mv_frames[order], mv_vectors.take(order, axis=0)
+    if frames[0] < 0 or frames[-1] >= len(pu_series):
+        outside = mv_frames[(mv_frames < 0) | (mv_frames >= len(pu_series))][0]
+        raise DataError(f"{args.mv_file}: MV frame {outside} is not among the "
+                        f"{len(pu_series)} frames of {args.pu_file}")
+
     cuts = activity.detect_activity_change(pu_series, args.pu_threshold, window=args.pu_window)
     edges = [0, *cuts, len(pu_series)]
+    bounds = np.searchsorted(frames, edges).tolist()
     if args.training:
         training = _read_training_dir(args.training)
     else:
@@ -302,8 +312,8 @@ def cmd_classify(args) -> int:
     bin_cache = {pair: activity.select_bins(training, pair) for pair in activity.PAIRS}
 
     regions = []
-    for start, end in zip(edges, edges[1:]):
-        vectors = mv_vectors[(mv_frames >= start) & (mv_frames < end)]
+    for start, end, lo, hi in zip(edges, edges[1:], bounds, bounds[1:]):
+        vectors = vectors_by_frame[lo:hi]
         pu_mean = float(np.mean(pu_series[start:end]))
         features = activity.extract_mv_features(vectors, pu_mean)
         label = activity.classify(features, training, k=args.k, bin_cache=bin_cache)

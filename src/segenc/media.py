@@ -20,7 +20,8 @@ PSNR and SSIM take the video one frame slice at a time, in bands of a few
 rows, so their memory grows with one frame at most, not with the segment.
 Both sum integers exactly: PSNR the squared error of each plane, SSIM the
 five sums of each 8x8 window.  Only the per-window statistics are floating
-point.
+point.  They take each frame's planes as plain ndarray views: numpy calls a
+memmap's Python hooks on every slice of one and every ufunc result.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def psnr_global(ref: RawVideo, dist: RawVideo) -> QualityScores:
     sse = [0, 0, 0]
     for a, b in zip(ref.frames(), dist.frames()):
         for k, plane in enumerate((RawVideo.luma, RawVideo.chroma_u, RawVideo.chroma_v)):
-            sse[k] += _plane_sse(plane(a)[0], plane(b)[0])
+            sse[k] += _plane_sse(np.asarray(plane(a)[0]), np.asarray(plane(b)[0]))
     luma = ref.width * ref.height * ref.frame_count
     y, u, v = _psnr(sse[0], luma), _psnr(sse[1], luma // 4), _psnr(sse[2], luma // 4)
     return QualityScores(psnr_y=y, psnr_u=u, psnr_v=v, psnr611=psnr611(y, u, v))
@@ -308,7 +309,7 @@ def ssim_mean(ref: RawVideo, dist: RawVideo) -> float:
     total = 0.0
     count = 0
     for a, b in zip(ref.frames(), dist.frames()):
-        win = _frame_ssim_windows(a.luma()[0], b.luma()[0])
+        win = _frame_ssim_windows(np.asarray(a.luma()[0]), np.asarray(b.luma()[0]))
         total += float(win.sum())
         count += win.size
     return total / count

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -451,3 +452,128 @@ class TestMvReader:
         with pytest.raises(ActivityError, match="frame 0 is given twice") as info:
             read_pu_series(path)
         assert str(path) in str(info.value)
+
+
+def pu_reference(path):
+    """Reference PU reader: each row into a dict, checked as it comes; values as hex."""
+    counts = {}
+    for frame, count in records.read_rows(path, ActivityError, "a PU record", 2,
+                                          activity._pu_record):
+        if frame in counts:
+            raise ActivityError(f"{path}: PU frame {frame} is given twice")
+        counts[frame] = count
+    if not counts:
+        raise ActivityError(f"{path}: empty PU series file")
+    missing = next((f for f in range(len(counts)) if f not in counts), None)
+    if missing is not None:
+        raise ActivityError(f"{path}: PU frames must run from 0 without a gap; "
+                            f"frame {missing} is missing")
+    return [counts[f].hex() for f in range(len(counts))]
+
+
+@st.composite
+def _pu_texts(draw):
+    """Mostly whole series in any order; some with a repeat, a gap, a stray cell or junk."""
+    frames = list(draw(st.permutations(range(draw(st.integers(0, 6))))))
+    frames += draw(st.lists(st.integers(-2, 8), max_size=2))
+    separator = st.sampled_from(_PLAIN + ["\r"])
+    lines = [f"{frame}{draw(separator)}{draw(_NUMBER)}" for frame in frames]
+    for _ in range(draw(st.integers(0, 2))):
+        junk = draw(st.lists(_CELL, max_size=3).map(" ".join))
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+def recording_loadtxt(monkeypatch):
+    """Route ``np.loadtxt`` through a wrapper; returns the list of (source, rows parsed) it fills."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def recording(source, *args, **kwargs):
+        parsed = loadtxt(source, *args, **kwargs)
+        calls.append((source, len(parsed)))
+        return parsed
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    return calls
+
+
+class TestOneParse:
+    """A plain regular file reaches numpy by name, and what numpy parsed is checked."""
+
+    def test_plain_files_reach_numpy_by_name_once(self, tmp_path, monkeypatch):
+        # numpy reads a file object one Python string a line, a named file in blocks
+        mv = tmp_path / "field.mv"
+        mv.write_text("0 0 0 1.5 -2\n1 0 0 3 4\n")
+        pu = tmp_path / "pu.txt"
+        pu.write_text("1 200\n0 100\n")
+        calls = recording_loadtxt(monkeypatch)
+        read_mv_field(mv)
+        assert [(type(source), rows) for source, rows in calls] == [(str, 2)]
+        calls.clear()
+        assert read_pu_series(pu) == [100.0, 200.0]
+        assert [(type(source), rows) for source, rows in calls] == [(str, 2)]
+
+    def test_extra_cell_that_numpy_skips_is_named(self, tmp_path, monkeypatch):
+        path = tmp_path / "field.mv"
+        path.write_text("0 0 0 1 2\n1 0 0 3 4 9\n2 0 0 5 6\n")
+        calls = recording_loadtxt(monkeypatch)
+        with pytest.raises(ActivityError, match="6 cells, an MV record has 5") as info:
+            read_mv_field(path)
+        assert str(info.value).startswith(f"{path}:2:")
+        assert [rows for _, rows in calls] == [3]  # numpy took the line, the cell count did not
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_file_with_a_compressed_suffix(self, tmp_path, suffix):
+        path = tmp_path / f"field.mv{suffix}"
+        path.write_text("0 0 0 1.5 -2\n1 0 0 3 4\n")
+        assert hexed(*read_mv_field(path)) == line_reader(path)
+
+    def test_compressed_suffixes_cover_numpy_openers(self):
+        # numpy opens a named file through the decompressor its suffix names
+        # (a private table); a plain file so named must not reach numpy by name
+        openers = np.lib._datasource._file_openers
+        assert {suffix for suffix in openers.keys() if suffix} <= set(activity._COMPRESSED)
+
+    def test_file_changed_during_the_parse_goes_to_the_line_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "field.mv"
+        path.write_text("0 0 0 1 2\n1 0 0 3 4\n")
+        loadtxt = np.loadtxt
+
+        def rewriting(*args, **kwargs):
+            path.write_text("0 0 0 1 2\n1 0 0 3 4 9\n")  # a cell numpy skips, one the count missed
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", rewriting)
+        with pytest.raises(ActivityError, match="6 cells") as info:
+            read_mv_field(path)
+        assert str(info.value).startswith(f"{path}:2:")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_is_read_once(self):
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"0 0 0 1.5 -2\n1 0 0 3 4\n")
+        os.close(write_end)
+        try:
+            frames, vectors = read_mv_field(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert frames.tolist() == [0, 1]
+        assert vectors.tolist() == [[1.5, -2.0], [3.0, 4.0]]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_pu_texts())
+    @example(text="0 100\n0 200\n1 300\n")
+    @example(text="0 1 2\n1 5\n")  # numpy takes two cells of the first line
+    @example(text="99999999999999999999 5\n")
+    def test_pu_series_same_values_or_both_reject(self, tmp_path, text):
+        path = tmp_path / "pu.txt"
+        path.write_bytes(text.encode())
+        try:
+            expected = pu_reference(path)
+        except ActivityError:
+            with pytest.raises(ActivityError):
+                read_pu_series(path)
+        else:
+            assert [count.hex() for count in read_pu_series(path)] == expected

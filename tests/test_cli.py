@@ -554,6 +554,53 @@ class TestClassify:
         assert [r["label"] for r in regions] == ["tracking", "stationary", "zoom"]
         assert sorted(calls) == sorted(activity.PAIRS)  # not once per region as well
 
+    @pytest.mark.parametrize("rewrite", [
+        lambda lines, rng: [lines[i] for i in rng.permutation(len(lines))],
+        lambda lines, rng: [line.replace("\n", "\r\n") for line in lines],
+        lambda lines, rng: [line.replace(" ", ",") for line in lines],
+    ], ids=["shuffled", "crlf", "commas"])
+    def test_mv_file_layout_leaves_the_schedule_unchanged(self, tmp_path, rng, capsys, rewrite):
+        mv_path, pu_path = write_mv_pu_files(tmp_path, rng)
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps({
+            label: {"mode": "min_bitrate", "min_quality": 38.0, "min_fps": 25.0}
+            for label in ("tracking", "stationary", "zoom")
+        }))
+        copy = tmp_path / "copy.mv"
+        lines = mv_path.read_text().splitlines(keepends=True)
+        copy.write_bytes("".join(rewrite(lines, rng)).encode())
+        schedules = []
+        for mv in (mv_path, copy):
+            out = tmp_path / f"{mv.stem}.json"
+            assert run_cli("classify", "--mv-file", mv, "--pu-file", pu_path,
+                           "--policy", policy_path, "--out", out) == 0
+            schedules.append(out.read_bytes())
+        assert schedules[0] == schedules[1]
+
+    @pytest.mark.parametrize("pu_frames, extra_mv, outside", [
+        (100, "", 100),
+        (150, "-3 0 0 1.0 1.0\n", -3),
+    ], ids=["longer-clip", "negative-frame"])
+    def test_mv_frame_outside_the_pu_series_is_data_error(self, tmp_path, rng, capsys,
+                                                          pu_frames, extra_mv, outside):
+        # before the check, the MV records of frames 100-149 were dropped
+        # and the clip was classified over its first 100 frames alone
+        mv_path, _ = write_mv_pu_files(tmp_path, rng)
+        with mv_path.open("a") as f:
+            f.write(extra_mv)
+        pu_path = tmp_path / "short.txt"
+        pu_path.write_text("".join(f"{f} 900\n" for f in range(pu_frames)))
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps({
+            label: {"mode": "min_bitrate", "min_quality": 38.0, "min_fps": 25.0}
+            for label in ("tracking", "stationary", "zoom")
+        }))
+        code = run_cli("classify", "--mv-file", mv_path, "--pu-file", pu_path,
+                       "--policy", policy_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(mv_path) in err and f"MV frame {outside} " in err
+
     def test_empty_mv_file_is_data_error(self, tmp_path, capsys):
         mv_path = tmp_path / "field.mv"
         mv_path.write_text("# empty\n")
