@@ -270,11 +270,9 @@ def cmd_optimize(args) -> int:
         if args.decisions:
             controller.write_decision_log(state, args.decisions)
             print(f"decision log: {args.decisions}")
-        baseline = args.baseline_bitrate_kbps
-        if baseline is None and constraints.max_bitrate_kbps is not None:
-            baseline = constraints.max_bitrate_kbps
         summary = controller.summarize(
-            state, encoder=encoder, segments=segments, baseline_bitrate_kbps=baseline
+            state, encoder=encoder, segments=segments,
+            baseline_bitrate_kbps=args.baseline_bitrate_kbps,
         )
     print(summary.format())
     return EXIT_OK
@@ -407,7 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="derive the VMAF bound as reference minus this offset")
     p.add_argument("--tolerance-bitrate", type=float)
     p.add_argument("--tolerance-quality", type=float)
-    p.add_argument("--baseline-bitrate-kbps", type=float)
+    p.add_argument("--baseline-bitrate-kbps", type=float,
+                   help="also encode every segment at the constant sweep QP whose segment-0 "
+                        "bitrate is nearest this, and report the gains against it "
+                        "(one more encode per segment); no baseline runs without it")
     p.add_argument("--constraint-schedule", help="region schedule JSON from classify")
     p.add_argument("--decisions", help="decision log output path")
     p.set_defaults(func=cmd_optimize)

@@ -215,7 +215,7 @@ def choose_gop_model(
     """
     if not state.models:
         raise ControllerError("no fitted model groups")
-    scored: list[tuple[tuple, GroupKey, dict[str, RdModel], QpSolution]] = []
+    best: tuple[tuple, GroupKey, dict[str, RdModel], QpSolution] | None = None
     for key, models in state.models.items():
         try:
             sol = solve_constrained(
@@ -232,10 +232,11 @@ def choose_gop_model(
             grid.gop_rank(key[0]),
             key[1],
         )
-        scored.append((rank, key, models, sol))
-    if not scored:
+        if best is None or rank < best[0]:
+            best = (rank, key, models, sol)
+    if best is None:
         raise ControllerError("no group produced a solution")
-    _, key, models, sol = min(scored, key=lambda item: item[0])
+    _, key, models, sol = best
     return key, models, sol
 
 
@@ -317,10 +318,11 @@ def _refresh_group(state: ControllerState, key: GroupKey, measurement: SegmentMe
         return
     qp = measurement.config.qp
     state.models[key] = {
-        obj: replace(model, coefficients=(
-            model.coefficients[0] + INTERCEPT_GAIN * (math.log(values[obj]) - model.log_value(qp)),
-            *model.coefficients[1:],
-        ))
+        obj: RdModel(
+            (model.coefficients[0] + INTERCEPT_GAIN * (math.log(values[obj]) - model.log_value(qp)),
+             *model.coefficients[1:]),
+            model.qp_min, model.qp_max, model.diagnostics, model.objective,
+        )
         for obj, model in models.items()
     }
 

@@ -8,7 +8,9 @@ encoders are driven as black boxes through shell command templates with
 ``{keyint}``, ``{frames}``, ``{width}``, ``{height}``, ``{fps}``,
 ``{threads}`` and a 0/1 ``{deblock}``, ``{sao}`` or ``{restoration}`` per
 filter flag; the VMAF template has ``{reference}``, ``{distorted}`` and
-``{log}`` instead of input and output.
+``{log}`` instead of input and output.  A :class:`ProcessEncoder` splits
+each template into arguments once, when it is built, and a placeholder
+its command is not given is an ``EncoderError`` then, before any encode.
 Bitrate comes from the output payload size and encoding rate from the
 encoder's wall-clock time.  An encode maps only its own segment of the source
 file and drops it when measured, so memory follows one segment, not the clip.
@@ -34,6 +36,7 @@ import math
 import os
 import shlex
 import shutil
+import string
 import subprocess
 import tempfile
 import time
@@ -337,6 +340,23 @@ class CodecCommands:
     vmaf: str | None = None
 
 
+# the file placeholders of each template, beside those of the configuration
+_TEMPLATE_PATHS = {
+    "encode": ("input", "output"),
+    "decode": ("input", "output"),
+    "vmaf": ("reference", "distorted", "log"),
+}
+
+
+def _placeholders(text: str) -> Iterator[str]:
+    """The name each ``{...}`` field of ``text`` looks up, nested fields included."""
+    for _, field_name, spec, _ in string.Formatter().parse(text):
+        if field_name is not None:
+            yield field_name.partition(".")[0].partition("[")[0]
+        if spec:
+            yield from _placeholders(spec)
+
+
 class ProcessEncoder:
     """Drives an external encoder binary through command templates.
 
@@ -373,6 +393,7 @@ class ProcessEncoder:
         self.commands = commands
         self.video = video
         self.threads = threads
+        self._argv = self._split_templates()
         self._own_workdir = not workdir
         self._workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="segenc-"))
         self._workdir.mkdir(parents=True, exist_ok=True)
@@ -398,6 +419,31 @@ class ProcessEncoder:
     def configs(self) -> list[EncodingConfig]:
         return self.grid().configs()
 
+    def _split_templates(self) -> dict[str, list[str]]:
+        """Each given template split into arguments once, its placeholders checked.
+
+        A template that does not split, or that names a placeholder its
+        command is not given, raises ``EncoderError`` before any encode.
+        """
+        # every configuration of a grid fills the same names
+        sample = grid_for(self.codec).configs()[0]
+        config_names = self._substitutions(sample, Segment(0, 0, 1, 1.0)).keys()
+        argv = {}
+        for kind, paths in _TEMPLATE_PATHS.items():
+            template = getattr(self.commands, kind)
+            if not template:
+                continue
+            try:
+                argv[kind] = shlex.split(template)
+                names = {name for part in argv[kind] for name in _placeholders(part)}
+            except ValueError as exc:  # an open quote or an unmatched brace
+                raise EncoderError(f"{kind} template {template!r}: {exc}") from None
+            unknown = sorted(names - config_names - set(paths))
+            if unknown:
+                raise EncoderError(f"{kind} template {template!r}: unknown placeholder "
+                                   + ", ".join(map(repr, unknown)))
+        return argv
+
     def _substitutions(self, config: EncodingConfig, segment: Segment, **paths: str) -> dict:
         subs = {
             "qp": config.qp,
@@ -416,11 +462,9 @@ class ProcessEncoder:
         return subs
 
     @staticmethod
-    def _run(template: str, subs: Mapping[str, object]) -> tuple[float, str, str]:
-        try:
-            argv = [part.format_map(subs) for part in shlex.split(template)]
-        except KeyError as exc:
-            raise EncoderError(f"unknown placeholder {exc} in command template") from None
+    def _run(template: Sequence[str], subs: Mapping[str, object]) -> tuple[float, str, str]:
+        """Run one split template, its placeholders filled from ``subs``."""
+        argv = [part.format_map(subs) for part in template]
         started = time.perf_counter()
         proc = subprocess.run(argv, capture_output=True, text=True)
         elapsed = time.perf_counter() - started
@@ -449,7 +493,7 @@ class ProcessEncoder:
             dec = Path(tmp) / "dec.yuv"
             clip.to_file(src)
             elapsed, _, _ = self._run(
-                self.commands.encode,
+                self._argv["encode"],
                 self._substitutions(config, segment, input=str(src), output=str(out)),
             )
             if not out.exists() or out.stat().st_size == 0:
@@ -457,7 +501,7 @@ class ProcessEncoder:
             bitrate = 8.0 * out.stat().st_size / segment.duration_s / 1000.0
 
             self._run(
-                self.commands.decode,
+                self._argv["decode"],
                 self._substitutions(config, segment, input=str(out), output=str(dec)),
             )
             try:
@@ -471,7 +515,7 @@ class ProcessEncoder:
             if self.commands.vmaf:
                 log_path = Path(tmp) / "vmaf.log"
                 self._run(
-                    self.commands.vmaf,
+                    self._argv["vmaf"],
                     self._substitutions(
                         config, segment,
                         reference=str(src), distorted=str(dec), log=str(log_path),

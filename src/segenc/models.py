@@ -52,6 +52,10 @@ class RdModel:
         return self.diagnostics.adjusted_r2
 
     def log_value(self, qp: float) -> float:
+        """Horner's rule from acc = 0.0; a quadratic takes the same steps unrolled."""
+        if len(self.coefficients) == 3:
+            c0, c1, c2 = self.coefficients
+            return ((0.0 * qp + c2) * qp + c1) * qp + c0
         acc = 0.0
         for c in reversed(self.coefficients):
             acc = acc * qp + c

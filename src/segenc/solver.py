@@ -11,6 +11,19 @@ Every module reads what a mode means from ``MODES`` (objective, direction,
 bound inverted first, QP rounding; ``min_enc_time`` aliases ``max_enc_rate``)
 and what a bound means from ``_BOUND_SPECS`` (objective, side, tolerance).
 
+A solve checks up to a dozen QPs against one constraint set, and the loop
+solves every (GOP, filter) group under the same set each segment, so what a
+set means is worked out once, by ``_plan``: each bound's prediction key,
+side and band edge ``bound * (1 +/- tol)`` in bound order, the inversion
+order (dominant bound first), and the mode's objective key, direction and
+rounding.  The last few sets' plans are kept, looked up by the set's
+identity.  No ``ConstraintSet`` field carries its plan, since a set's
+fields are exactly its mode, bounds and tolerances: schedules and policies
+write them, and a set's ``dataclasses.asdict`` is compared with the policy
+it came from.  The checks make the same float operations in the same order
+as working the set out on every call would, so every decision is the same
+bit for bit.
+
 Constraint bounds pass when the prediction stays within a relative
 tolerance band of the bound: by default 10% for bitrate, 10% for encoding
 rate, 5% for quality.  The bands absorb forward-model prediction error.
@@ -37,11 +50,6 @@ class Mode:
     maximize: bool
     dominant: str  # the bound inverted first
     round_up: bool  # how a solved QP between two integers rounds
-
-    def value(self, predicted: Mapping[str, float], quality_metric: str) -> float:
-        """The mode objective of a prediction, as a value to minimise."""
-        value = predicted[quality_metric if self.objective == "quality" else self.objective]
-        return -value if self.maximize else value
 
 
 MODES: dict[str, Mode] = {
@@ -98,6 +106,8 @@ class ConstraintSet:
         for name, value in self.bounds().items():  # bool is an int, but no bound
             if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
                 raise SolverError(f"{name}={value!r} is not a finite number")
+            if value <= 0:  # every objective is positive and modelled by its log
+                raise SolverError(f"{name}={value!r} is not positive")
 
     def bounds(self) -> dict[str, float]:
         out = {}
@@ -148,6 +158,70 @@ def make_mode(mode_name: str, bounds: Mapping[str, float], **tolerances: float) 
     return cs
 
 
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """A constraint set as a solve reads it: built by ``_make_plan``, kept by ``_plan``."""
+
+    checks: tuple[tuple[str, str, bool, float, float], ...]  # (name, key, upper, bound, edge)
+    inversions: tuple[tuple[str, str, bool, float, float], ...]  # the checks, dominant first
+    objective: str  # the mode objective's prediction key
+    maximize: bool
+    round_up: bool
+
+
+_PLANS: dict[int, tuple[ConstraintSet, _Plan]] = {}  # id -> (the set, kept alive, its plan)
+_PLANS_KEPT = 64
+
+
+def _plan(constraints: ConstraintSet) -> _Plan:
+    """What ``constraints`` means to a solve, worked out once per set.
+
+    Sets are looked up by identity, which costs less than hashing their
+    fields: the loop hands every solve of a segment the same set.
+    """
+    kept = _PLANS.get(id(constraints))
+    if kept is not None and kept[0] is constraints:
+        return kept[1]
+    if len(_PLANS) >= _PLANS_KEPT:
+        _PLANS.clear()
+    plan = _make_plan(constraints)
+    _PLANS[id(constraints)] = (constraints, plan)
+    return plan
+
+
+def _make_plan(constraints: ConstraintSet) -> _Plan:
+    mode = MODES[constraints.mode]
+    checks = []
+    for name, bound in constraints.bounds().items():
+        upper = _BOUND_SPECS[name][1] == "upper"
+        tol = constraints.tolerance_for(name)
+        edge = bound * (1.0 + tol) if upper else bound * (1.0 - tol)
+        checks.append((name, constraints.objective_for(name), upper, bound, edge))
+    objective = constraints.quality_metric if mode.objective == "quality" else mode.objective
+    return _Plan(
+        checks=tuple(checks),
+        inversions=tuple(sorted(checks, key=lambda check: check[0] != mode.dominant)),
+        objective=objective,
+        maximize=mode.maximize,
+        round_up=mode.round_up,
+    )
+
+
+def _check(plan: _Plan, predicted: Mapping[str, float]) -> tuple[bool, dict[str, float]]:
+    violations: dict[str, float] = {}
+    for name, key, upper, bound, edge in plan.checks:
+        try:
+            value = predicted[key]
+        except KeyError:
+            raise SolverError(f"missing prediction for bounded objective {key!r}") from None
+        if upper:
+            if value > edge:
+                violations[name] = value / bound - 1.0
+        elif value < edge:
+            violations[name] = 1.0 - value / bound
+    return (not violations), violations
+
+
 def check_constraints(
     predicted: Mapping[str, float], constraints: ConstraintSet
 ) -> tuple[bool, dict[str, float]]:
@@ -157,21 +231,7 @@ def check_constraints(
     bounds, 1 - value/bound for lower bounds) and is reported only for
     bounds that fall outside their tolerance band.
     """
-    violations: dict[str, float] = {}
-    for name, bound in constraints.bounds().items():
-        kind = _BOUND_SPECS[name][1]
-        key = constraints.objective_for(name)
-        if key not in predicted:
-            raise SolverError(f"missing prediction for bounded objective {key!r}")
-        value = predicted[key]
-        tol = constraints.tolerance_for(name)
-        if kind == "upper":
-            if value > bound * (1.0 + tol):
-                violations[name] = value / bound - 1.0
-        else:
-            if value < bound * (1.0 - tol):
-                violations[name] = 1.0 - value / bound
-    return (not violations), violations
+    return _check(_plan(constraints), predicted)
 
 
 def newton_solve(
@@ -225,6 +285,13 @@ def newton_solve(
     )
 
 
+def _round(qp_real: float, round_up: bool) -> int:
+    nearest = round(qp_real)
+    if abs(qp_real - nearest) < 1e-9:
+        return int(nearest)
+    return int(math.ceil(qp_real) if round_up else math.floor(qp_real))
+
+
 def round_qp(qp_real: float, mode: str) -> int:
     """Mode-aware integer rounding of a solved QP.
 
@@ -233,10 +300,7 @@ def round_qp(qp_real: float, mode: str) -> int:
     fall with QP); rate/time modes round toward faster encodes (up, since
     encoding rate rises with QP).  Exact integers pass through unchanged.
     """
-    nearest = round(qp_real)
-    if abs(qp_real - nearest) < 1e-9:
-        return int(nearest)
-    return int(math.ceil(qp_real) if get_mode(mode).round_up else math.floor(qp_real))
+    return _round(qp_real, get_mode(mode).round_up)
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,6 +312,16 @@ class QpSolution:
     violations: dict[str, float]
 
 
+def _evaluate(
+    plan: _Plan, qp: int, models: Mapping[str, RdModel], segment_frames: int | None
+) -> tuple[dict[str, float], bool, dict[str, float]]:
+    pred = {name: predict(model, qp) for name, model in models.items()}
+    if segment_frames is not None and "enc_rate" in pred:
+        pred["enc_time"] = segment_frames / pred["enc_rate"]
+    satisfied, violations = _check(plan, pred)
+    return pred, satisfied, violations
+
+
 def evaluate(
     qp: int,
     models: Mapping[str, RdModel],
@@ -256,11 +330,18 @@ def evaluate(
 ) -> tuple[dict[str, float], bool, dict[str, float]]:
     """The models' predictions at ``qp``, encoding time too when
     ``segment_frames`` is given, and their constraint check."""
-    pred = {name: predict(model, qp) for name, model in models.items()}
-    if segment_frames is not None and "enc_rate" in pred:
-        pred["enc_time"] = segment_frames / pred["enc_rate"]
-    satisfied, violations = check_constraints(pred, constraints)
-    return pred, satisfied, violations
+    return _evaluate(_plan(constraints), qp, models, segment_frames)
+
+
+def _rank(
+    plan: _Plan, pred: Mapping[str, float], satisfied: bool, violations: Mapping[str, float]
+) -> tuple[bool, float, float]:
+    if satisfied:
+        value = pred[plan.objective]
+        primary = -value if plan.maximize else value
+    else:
+        primary = sum(violations.values())
+    return (not satisfied, primary, pred.get("bits", 0.0))
 
 
 def candidate_rank(
@@ -271,11 +352,7 @@ def candidate_rank(
 ) -> tuple[bool, float, float]:
     """Sort key of a candidate: feasible first, then the mode objective
     (infeasible: total overshoot), then lower predicted bitrate."""
-    if satisfied:
-        primary = MODES[constraints.mode].value(pred, constraints.quality_metric)
-    else:
-        primary = sum(violations.values())
-    return (not satisfied, primary, pred.get("bits", 0.0))
+    return _rank(_plan(constraints), pred, satisfied, violations)
 
 
 def local_search(
@@ -285,23 +362,30 @@ def local_search(
     *,
     qp_bounds: tuple[int, int],
     segment_frames: int | None = None,
+    qp_real: float | None = None,
 ) -> QpSolution:
     """Evaluate integer QPs within ``LOCAL_SEARCH_RADIUS`` of the center, within the grid.
 
     Constraint-satisfying candidates compete on the mode objective (ties:
     lower bitrate, then lower QP); when none satisfies, the least-violation
-    candidate is returned flagged unsatisfied.
+    candidate is returned flagged unsatisfied.  The constraint set is worked
+    out once for the whole window, and only the winner becomes a
+    ``QpSolution``, whose ``qp_real`` is ``qp_real`` (the solve the window
+    is centred on) or else the center itself.
     """
+    plan = _plan(constraints)
     lo = max(center_qp - LOCAL_SEARCH_RADIUS, qp_bounds[0])
     hi = min(center_qp + LOCAL_SEARCH_RADIUS, qp_bounds[1])
-    best: tuple[tuple, QpSolution] | None = None
+    best: tuple | None = None
     for qp in range(lo, hi + 1):
-        pred, satisfied, violations = evaluate(qp, models, constraints, segment_frames)
-        rank = (*candidate_rank(pred, satisfied, violations, constraints), qp)
+        pred, satisfied, violations = _evaluate(plan, qp, models, segment_frames)
+        rank = (*_rank(plan, pred, satisfied, violations), qp)
         if best is None or rank < best[0]:
-            best = (rank, QpSolution(float(center_qp), qp, pred, satisfied, violations))
+            best = (rank, pred, satisfied, violations)
     assert best is not None
-    return best[1]
+    rank, pred, satisfied, violations = best
+    return QpSolution(float(center_qp) if qp_real is None else qp_real,
+                      rank[-1], pred, satisfied, violations)
 
 
 def solve_constrained(
@@ -324,20 +408,13 @@ def solve_constrained(
     objective wins; if none is feasible a +/-4 local search around the
     dominant candidate decides.
     """
-    dominant = MODES[constraints.mode].dominant
-    bounds = constraints.bounds()
-    bound_names = sorted(bounds, key=lambda nm: (nm != dominant))
-
+    plan = _plan(constraints)
     qp_reals: list[float] = []
-    for name in bound_names:
-        objective = constraints.objective_for(name)
-        bound = bounds[name]
-        kind = _BOUND_SPECS[name][1]
+    for name, objective, upper, bound, _ in plan.inversions:
         if name == "max_time_s":
             if segment_frames is None:
                 raise SolverError("max_time_s bound needs the segment frame count")
-            objective, bound = "enc_rate", segment_frames / bound
-            kind = "lower"
+            objective, bound, upper = "enc_rate", segment_frames / bound, False
         model = models.get(objective)
         if model is None:
             raise SolverError(f"no model for bounded objective {objective!r}")
@@ -345,7 +422,7 @@ def solve_constrained(
             qp_reals.append(newton_solve(model, bound, start=start))
         except TargetUnreachableError as exc:
             value = predict(model, exc.boundary_qp)
-            if (value > bound) if kind == "upper" else (value < bound):
+            if (value > bound) if upper else (value < bound):
                 qp_reals.append(exc.boundary_qp)
 
     if not qp_reals:
@@ -354,25 +431,26 @@ def solve_constrained(
 
     candidates: list[int] = []
     for qr in qp_reals:
-        qi = round_qp(qr, constraints.mode)
-        qi = min(max(qi, qp_bounds[0]), qp_bounds[1])
+        qi = min(max(_round(qr, plan.round_up), qp_bounds[0]), qp_bounds[1])
         if qi not in candidates:
             candidates.append(qi)
 
-    feasible = []
+    best: tuple | None = None
     for qi in candidates:
         pred, satisfied, violations = evaluate(qi, models, constraints, segment_frames)
         if satisfied:
-            key = (*candidate_rank(pred, True, violations, constraints), qi)
-            feasible.append((key, QpSolution(qp_reals[0], qi, pred, True, violations)))
-    if feasible:
-        return min(feasible, key=lambda item: item[0])[1]
+            key = (*_rank(plan, pred, True, violations), qi)
+            if best is None or key < best[0]:
+                best = (key, pred, violations)
+    if best is not None:
+        key, pred, violations = best
+        return QpSolution(qp_reals[0], key[-1], pred, True, violations)
 
-    searched = local_search(
+    return local_search(
         candidates[0],
         models,
         constraints,
         qp_bounds=qp_bounds,
         segment_frames=segment_frames,
+        qp_real=qp_reals[0],
     )
-    return replace(searched, qp_real=qp_reals[0])

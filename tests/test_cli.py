@@ -99,6 +99,24 @@ class TestSweep:
         assert len({config_row_key(m.segment_index, m.config)
                     for m, _ in read_sweep_table(out)}) == 200
 
+    def test_unknown_placeholder_fails_once_before_any_encode(self, tmp_path, capsys):
+        # a typo once failed every encode of the sweep, one line each, and
+        # left a table with its header only
+        np.random.default_rng(3).integers(0, 256, (6, 96), dtype=np.uint8).tofile(tmp_path / "clip.yuv")
+        template = "cp {input} {output} {qpp}"
+        config = tmp_path / "project.json"
+        config.write_text(json.dumps({"codecs": {"vp9": {
+            "encode": template, "decode": "cp {input} {output}"}}}))
+        out = tmp_path / "sweep.tsv"
+        code = run_cli("sweep", "--codec", "vp9", "--video", tmp_path / "clip.yuv",
+                       "--width", 8, "--height", 8, "--fps", 3, "--segment-seconds", 1,
+                       "--config", config, "--out", out)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"encoder error: encode template {template!r}: unknown placeholder 'qpp'"]
+        assert not out.exists()
+
 
 class TestOptimize:
     def test_max_quality_summary_gain_non_negative(self, tmp_path, capsys):
@@ -106,7 +124,7 @@ class TestOptimize:
         code = run_cli(
             "optimize", "--codec", "synthetic", "--frames", 500, "--fps", 50,
             "--mode", "max_quality", "--max-bitrate-kbps", 11205.77,
-            "--min-fps", 25, "--decisions", decisions,
+            "--min-fps", 25, "--decisions", decisions, "--baseline-bitrate-kbps", 11205.77,
         )
         assert code == 0
         text = capsys.readouterr().out
@@ -117,6 +135,28 @@ class TestOptimize:
         gain = float(text.split("Overall Bitrate Gain | Overall PSNR | Overall VMAF")[1]
                      .strip().split("%")[0])
         assert gain >= 0.0
+
+    @pytest.mark.parametrize("baseline, encodes", [
+        ((), 20 + 19),
+        (("--baseline-bitrate-kbps", 3000), 20 + 19 + 20),
+    ], ids=["bound-only", "baseline-asked"])
+    def test_baseline_encodes_only_when_asked(self, monkeypatch, capsys, baseline, encodes):
+        # a bitrate bound alone once ran the constant-QP baseline too: a
+        # second encode of every segment
+        calls = []
+
+        class Counting(SyntheticEncoder):
+            def encode(self, config, segment):
+                calls.append(segment.index)
+                return super().encode(config, segment)
+
+        monkeypatch.setattr(cli, "SyntheticEncoder", Counting)
+        code = run_cli("optimize", "--codec", "synthetic", "--frames", 3000, "--fps", 50,
+                       "--mode", "max_quality", "--max-bitrate-kbps", 3000, "--min-fps", 25,
+                       *baseline)
+        assert code == 0
+        assert len(calls) == encodes  # grid + (segments - 1) [+ segments]
+        assert ("Overall Bitrate Gain" in capsys.readouterr().out) == bool(baseline)
 
     def test_jnd_offset_reduces_vmaf_bound(self, capsys):
         code = run_cli(
@@ -1166,3 +1206,51 @@ class TestNonFiniteBounds:
         b.write_text("\n".join(lines) + "\n")
         assert run_cli("bdrate", a, b) == 2
         assert f"{b}:4: '{cell}' is not a finite number" in capsys.readouterr().err
+
+
+class TestNonPositiveBounds:
+    """Every objective is positive and modelled by its log: a bound of 0 or
+    less is refused where it is read, before any encode."""
+
+    @pytest.mark.parametrize("name, flags", [
+        ("max_bitrate_kbps", ("max_quality", "--max-bitrate-kbps", 0, "--min-fps", 25)),
+        ("max_bitrate_kbps", ("max_quality", "--max-bitrate-kbps", -100, "--min-fps", 25)),
+        ("min_quality", ("min_bitrate", "--min-quality-db", 0, "--min-fps", 25)),
+        ("min_fps", ("min_bitrate", "--min-quality-db", 38, "--min-fps", -1)),
+    ], ids=["zero-bitrate", "negative-bitrate", "zero-quality", "negative-fps"])
+    def test_flag_is_usage_error_naming_the_bound(self, capsys, name, flags):
+        # the zero bitrate raised a ZeroDivisionError out of the bootstrap;
+        # the others ended in "no group produced a solution"
+        code = run_cli("optimize", "--codec", "synthetic", "--frames", 500, "--fps", 50,
+                       "--mode", *flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"{name}=" in err and "positive" in err
+
+    @pytest.mark.parametrize("bound", [0, -100.0])
+    def test_schedule_bound_is_data_error_naming_the_file(self, tmp_path, capsys, bound):
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps({"version": 1, "regions": [{
+            "start_frame": 0, "end_frame": 100, "label": "stationary",
+            "constraints": {"mode": "max_quality", "max_bitrate_kbps": bound, "min_fps": 20.0},
+        }]}))
+        code = run_cli(*OPTIMIZE_SYNTHETIC, "--constraint-schedule", schedule)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(schedule) in err and "max_bitrate_kbps" in err and "positive" in err
+
+    @pytest.mark.parametrize("bound", [0, -25.0])
+    def test_policy_bound_is_data_error_naming_the_file(self, tmp_path, rng, capsys, bound):
+        mv_path, pu_path = write_mv_pu_files(tmp_path, rng)
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({
+            label: {"mode": "max_quality", "max_bitrate_kbps": 9000.0, "min_fps": bound}
+            for label in ("tracking", "stationary", "zoom")
+        }))
+        out = tmp_path / "schedule.json"
+        code = run_cli("classify", "--mv-file", mv_path, "--pu-file", pu_path,
+                       "--policy", policy, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(policy) in err and "min_fps" in err and "positive" in err
+        assert not out.exists()

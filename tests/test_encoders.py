@@ -430,6 +430,40 @@ class TestPlaceholders:
             enc.encode(cfg, seg)
         assert log.read_text().splitlines() == ["rt", "rt"]
 
+    @pytest.mark.parametrize("kind, template, message", [
+        ("encode", "cp {input} {outptu}", "unknown placeholder 'outptu'"),
+        ("decode", "cp {input} {output} {qpp}", "unknown placeholder 'qpp'"),
+        ("vmaf", "vmaf {reference} {distorted} {input}", "unknown placeholder 'input'"),
+        ("encode", "enc {input} {output} {sao}", "unknown placeholder 'sao'"),  # not a vp9 filter
+        ("encode", "enc {input} {output:{widht}}", "unknown placeholder 'widht'"),
+        ("encode", "enc {} {input} {output}", "unknown placeholder ''"),
+        ("encode", "cp {input} '{output}", "No closing quotation"),
+        ("decode", "cp {input {output}", "expected '}'"),
+    ], ids=["typo", "typo-in-decode", "input-in-vmaf", "other-codec-filter", "nested",
+            "positional", "open-quote", "open-brace"])
+    def test_template_is_checked_when_the_encoder_is_built(self, small_video, tmp_path,
+                                                           kind, template, message):
+        templates = {"encode": "cp {input} {output}", "decode": "cp {input} {output}",
+                     kind: template}
+        with pytest.raises(EncoderError) as info:
+            ProcessEncoder("vp9", CodecCommands(**templates), small_video, workdir=tmp_path / "w")
+        assert f"{kind} template {template!r}" in str(info.value)
+        assert message in str(info.value)
+        assert not (tmp_path / "w").exists()  # raised before the workdir is made
+
+    def test_every_filter_of_the_codec_is_a_placeholder(self, small_video, tmp_path):
+        commands = CodecCommands(encode="enc {input} {output} {deblock} {sao} {qp:02d}")
+        ProcessEncoder("x265", commands, small_video, workdir=tmp_path)
+
+    def test_templates_are_split_once(self, stub_commands, small_video, tmp_path, monkeypatch):
+        enc = ProcessEncoder("x265", stub_commands, small_video, workdir=tmp_path / "w")
+        split_again = []
+        monkeypatch.setattr(encoders.shlex, "split", split_again.append)
+        seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
+        for cfg in enumerate_configs("x265")[:2]:
+            enc.encode(cfg, seg)
+        assert split_again == []
+
     @pytest.mark.parametrize("codec", ["x265", "vp9", "svt-av1"])
     def test_module_docstring_lists_every_placeholder(self, codec, small_video, tmp_path):
         enc = ProcessEncoder(codec, CodecCommands(encode=""), small_video, workdir=tmp_path)

@@ -19,6 +19,7 @@ from segenc.solver import (
     solve_constrained,
 )
 
+import refsolver
 from conftest import make_model, random_monotone_quadratic
 
 B6 = REFERENCE_MODEL_SETS[("x265", "B6", "max_quality")]
@@ -381,7 +382,92 @@ class TestBoundValues:
         with pytest.raises(SolverError, match="min_fps"):
             ConstraintSet(mode="max_quality", max_bitrate_kbps=9000.0, min_fps=value)
 
+    @pytest.mark.parametrize("name", ["max_bitrate_kbps", "min_fps", "max_time_s"])
+    @pytest.mark.parametrize("value", [0, 0.0, -1e-300, -100.0])
+    def test_bound_must_be_positive(self, name, value):
+        bounds = {"max_bitrate_kbps": 9000.0, "min_fps": 20.0, name: value}
+        with pytest.raises(SolverError, match=f"{name}={value!r} is not positive"):
+            ConstraintSet(mode="max_quality", **bounds)
+
     def test_numpy_numbers_are_bounds(self):
         cs = ConstraintSet(mode="max_quality", max_bitrate_kbps=np.float64(9000.0),
                            min_fps=np.int64(20))
         assert cs.bounds() == {"max_bitrate_kbps": 9000.0, "min_fps": 20}
+
+
+class TestAgainstReference:
+    """The solver reads each constraint set's worked-out plan; ``refsolver``
+    works it out on every call.  Both must give the same results, bit for bit."""
+
+    BOUND_NAMES = ("max_bitrate_kbps", "min_quality", "min_fps", "max_time_s")
+    OBJECTIVES = ("psnr", "vmaf", "ssim", "bits", "enc_rate")
+
+    @staticmethod
+    def exact(result):
+        """A result with every float as its hex, every mapping as its ordered items."""
+        if isinstance(result, solver.QpSolution):
+            result = (result.qp_real, result.qp_int, result.predicted, result.satisfied,
+                      result.violations)
+        if isinstance(result, dict):
+            return [(key, TestAgainstReference.exact(value)) for key, value in result.items()]
+        if isinstance(result, (tuple, list)):
+            return [TestAgainstReference.exact(value) for value in result]
+        if isinstance(result, float):
+            return float.hex(result)
+        return result
+
+    @staticmethod
+    def outcome(fn, *args, **kwargs):
+        try:
+            return TestAgainstReference.exact(fn(*args, **kwargs))
+        except SolverError as exc:
+            return ("error", type(exc).__name__, str(exc))
+
+    @staticmethod
+    @st.composite
+    def problems(draw):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        qp_min, qp_max = draw(st.sampled_from([(16.0, 43.0), (16.0, 52.0), (20.0, 36.0)]))
+        models = {o: random_monotone_quadratic(rng, qp_min, qp_max)
+                  for o in TestAgainstReference.OBJECTIVES}
+        names = draw(st.sets(st.sampled_from(TestAgainstReference.BOUND_NAMES), min_size=1))
+        frames = draw(st.one_of(st.none(), st.integers(1, 300)))
+        metric = draw(st.sampled_from(["psnr", "vmaf", "ssim"]))
+        bounds = {}
+        for name in sorted(names):
+            # a value the model reaches inside its range, or one beyond either end
+            qp = draw(st.floats(qp_min - 12.0, qp_max + 12.0))
+            key = {"max_bitrate_kbps": "bits", "min_quality": metric}.get(name, "enc_rate")
+            value = predict(models[key], qp) * draw(st.sampled_from([1e-3, 1.0, 1.0, 1e3]))
+            bounds[name] = (frames or 150) / value if name == "max_time_s" else value
+        tolerances = {tol: draw(st.sampled_from([0.0, 0.05, 0.1, 0.5]))
+                      for tol in solver.TOLERANCES}
+        cs = ConstraintSet(mode=draw(st.sampled_from(list(solver.MODES))),
+                           quality_metric=metric, **bounds, **tolerances)
+        lo = draw(st.integers(int(qp_min), int(qp_max) - 1))
+        hi = draw(st.integers(lo + 1, int(qp_max) + 2))
+        return models, cs, frames, (lo, hi)
+
+    @settings(max_examples=400, deadline=None)
+    @given(problem=problems(), start=st.sampled_from([27.0, 30.0]), data=st.data())
+    def test_solver_matches_reference(self, problem, start, data):
+        models, cs, frames, qp_bounds = problem
+        solve = dict(qp_bounds=qp_bounds, start=start, segment_frames=frames)
+        assert self.outcome(solve_constrained, models, cs, **solve) == \
+            self.outcome(refsolver.solve_constrained, models, cs, **solve)
+        # windows that the grid edges clip on either side
+        center = data.draw(st.integers(qp_bounds[0] - 4, qp_bounds[1] + 4))
+        search = dict(qp_bounds=qp_bounds, segment_frames=frames)
+        assert self.outcome(local_search, center, models, cs, **search) == \
+            self.outcome(refsolver.local_search, center, models, cs, **search)
+        qp = data.draw(st.integers(qp_bounds[0], qp_bounds[1]))
+        evaluated = self.outcome(solver.evaluate, qp, models, cs, frames)
+        assert evaluated == self.outcome(refsolver.evaluate, qp, models, cs, frames)
+        if evaluated[0] != "error":
+            pred, satisfied, violations = solver.evaluate(qp, models, cs, frames)
+            assert self.exact(check_constraints(pred, cs)) == \
+                self.exact(refsolver.check_constraints(pred, cs))
+            assert self.exact(solver.candidate_rank(pred, satisfied, violations, cs)) == \
+                self.exact(refsolver.candidate_rank(pred, satisfied, violations, cs))
+        for mode in solver.MODES:
+            assert round_qp(qp + 0.5, mode) == refsolver.round_qp(qp + 0.5, mode)
