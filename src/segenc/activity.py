@@ -12,10 +12,13 @@ maps to a constraint set through a policy.
 MV and PU files are read into columns, MV files into a frame-number array
 and an ``(n, 2)`` vector array, by one ``np.loadtxt`` call that parses only
 the cells kept.  A plain regular file is named to numpy, which reads it in
-blocks; numpy would take a file object one line at a time.  A cell count
-keeps a line with extra cells an error, and any file numpy cannot give the
-line reader's values for is read line by line.  ``classify`` cuts a region's
-vectors out of the frame-sorted records.
+blocks; numpy would take a file object one line at a time.  Such a file is
+checked in blocks from disk too (plain text, no comma, the cell count that
+keeps a line with extra cells an error), so its records are held once and
+nothing of its text beside them; any file numpy cannot give the line
+reader's values for is read line by line.  The columns returned are views
+of the parsed records.  ``classify`` gathers a region's vectors by one
+stable frame order.
 
 The U test is two-sided and follows scipy's ``mannwhitneyu`` defaults, in
 numpy and the standard library alone: the exact null distribution for a bin
@@ -32,7 +35,7 @@ import os
 import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -282,6 +285,7 @@ _PLAIN_TEXT = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 _BLANKS = bytes.maketrans(b",\r", b" \n")
 # numpy opens a named file with one of these suffixes through a decompressor
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+_BLOCK = 1 << 18  # bytes of a file checked at a time
 _INT64 = range(-(2**63), 2**63)
 
 
@@ -311,10 +315,20 @@ def _version(path: str | Path) -> tuple[int, int, int, int] | None:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def _cell_count(text: bytes) -> int:
-    """Whitespace-delimited cells of plain text: the runs of bytes above 0x20."""
-    filled = np.frombuffer(text, dtype=np.uint8) > 0x20
-    return int(np.count_nonzero(filled[1:] & ~filled[:-1]) + np.count_nonzero(filled[:1]))
+def _cell_count(blocks: Iterable[bytes]) -> int | None:
+    """Whitespace-delimited cells of text given in blocks: the runs of bytes above 0x20.
+
+    A run that crosses a block's edge counts once.  None for text numpy may
+    split otherwise: a byte outside plain text, or a comma.
+    """
+    cells, filled = 0, False  # filled: the byte before the block is in a cell
+    for block in blocks:
+        if b"," in block or block.translate(None, _PLAIN_TEXT):
+            return None
+        above = np.frombuffer(block, dtype=np.uint8) > 0x20
+        cells += int(np.count_nonzero(above[1:] & ~above[:-1])) + int(above[0] and not filled)
+        filled = bool(above[-1])
+    return cells
 
 
 def _one_parse(path: str | Path, width: int, usecols: tuple[int, ...],
@@ -323,21 +337,28 @@ def _one_parse(path: str | Path, width: int, usecols: tuple[int, ...],
 
     numpy reads a file object line by line, one Python string a line, but
     a file named by a ``str`` in large blocks.  So a regular file of plain
-    text without commas is parsed by name, and any other plain file from
-    its bytes, commas made blanks.  ``usecols`` leaves the cells it skips
-    unparsed and accepts a line with extra cells, so the text's cell count
-    must be ``width`` cells a record.  numpy opens a named file a second
-    time: when its device, inode, size or modification time differ after
-    the parse, what was checked may not be what was parsed.
+    text without commas is checked in blocks from disk and parsed by name,
+    and any other plain file from its bytes, commas made blanks.
+    ``usecols`` leaves the cells it skips unparsed and accepts a line with
+    extra cells, so the text's cell count must be ``width`` cells a record.
+    numpy opens a named file a second time: when its device, inode, size or
+    modification time differ after the parse, what was checked may not be
+    what was parsed.
     """
     version = _version(path)
-    data = records.read_bytes(path, ActivityError)
-    if data.translate(None, _PLAIN_TEXT):
-        return None
-    named = version is not None and b"," not in data and not str(path).endswith(_COMPRESSED)
-    if not named:
-        data = data.translate(_BLANKS)
-    cells = _cell_count(data)
+    cells = None
+    if version is not None and not str(path).endswith(_COMPRESSED):
+        try:
+            with open(path, "rb") as file:
+                cells = _cell_count(iter(functools.partial(file.read, _BLOCK), b""))
+        except OSError:  # read again whole, which names the error
+            pass
+    named = cells is not None
+    if not named:  # commas, a compressed suffix, a pipe, text not plain, or a read error
+        data = records.read_bytes(path, ActivityError).translate(_BLANKS)
+        cells = _cell_count(data[i:i + _BLOCK] for i in range(0, len(data), _BLOCK))
+        if cells is None:
+            return None
     if not cells:  # a blank file gets the line reader's error
         return None
     source = os.path.abspath(path) if named else io.BytesIO(data)  # absolute: never a URL
@@ -371,18 +392,21 @@ def read_mv_field(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Line-delimited ``frame block_x block_y dx dy`` records as columns.
 
     Returns the frame numbers (int64) and the ``(n, 2)`` float64 motion
-    vectors, both in file order.  Cells split on commas or whitespace.  A
-    plain file is parsed in one ``np.loadtxt`` call that converts the frame
-    and vector cells alone, and is named to numpy where it can be: numpy
-    turns a file object into one Python string a line, which makes the
-    parse about twice as long.  A guard on the cell count keeps a line
-    with extra cells an error, and any file numpy cannot give the line
-    reader's values for goes through the line reader (:func:`_read_records`).
+    vectors, both in file order and both views of one record array.  Cells
+    split on commas or whitespace.  A plain file is parsed in one
+    ``np.loadtxt`` call that converts the frame and vector cells alone, and
+    is named to numpy where it can be: numpy turns a file object into one
+    Python string a line, which makes the parse about twice as long.  Such
+    a file is checked in blocks read from disk, never held whole.  A guard
+    on the cell count keeps a line with extra cells an error, and any file
+    numpy cannot give the line reader's values for goes through the line
+    reader (:func:`_read_records`).
     """
     parsed = _read_records(path, "an MV record", 5, (0, 3, 4), _MV_COLUMNS, _mv_record)
     if not parsed.size:
         raise ActivityError(f"{path}: empty MV field file")
-    return parsed["frame"].copy(), np.column_stack([parsed["dx"], parsed["dy"]])
+    # each 24-byte record is three 8-byte cells; the vectors are cells 1 and 2
+    return parsed["frame"], parsed.view(np.float64).reshape(-1, 3)[:, 1:]
 
 
 def read_pu_series(path: str | Path) -> list[float]:

@@ -245,12 +245,16 @@ def _schedule_fn(path: str | None):
         last = regions[-1][2]
     except (LookupError, TypeError, ValueError) as exc:  # a missing key or a bad value
         raise DataError(f"bad constraint schedule {path}: {exc!r}") from None
+    end_of_schedule = max(end for _, end, _ in regions)
 
     def lookup(segment: media.Segment) -> ConstraintSet:
         for start, end, cs in regions:
             if start <= segment.start < end:
                 return cs
-        return last
+        if segment.start >= end_of_schedule:  # past every region: the last one holds
+            return last
+        raise DataError(f"constraint schedule {path} has no region for the segment "
+                        f"starting at frame {segment.start}")
 
     return lookup
 
@@ -290,18 +294,20 @@ def cmd_classify(args) -> int:
     pu_series = activity.read_pu_series(args.pu_file)
     policy = activity.read_policy(args.policy)
 
-    # a region's vectors are a run of the frame-sorted records, cut at its
-    # edges; a region's histograms do not depend on the order of its vectors
-    order = np.argsort(mv_frames, kind="stable")
-    frames, vectors_by_frame = mv_frames[order], mv_vectors.take(order, axis=0)
-    if frames[0] < 0 or frames[-1] >= len(pu_series):
+    if mv_frames.min() < 0 or mv_frames.max() >= len(pu_series):
         outside = mv_frames[(mv_frames < 0) | (mv_frames >= len(pu_series))][0]
         raise DataError(f"{args.mv_file}: MV frame {outside} is not among the "
                         f"{len(pu_series)} frames of {args.pu_file}")
 
+    # a region's vectors are a run of the records in stable frame order,
+    # gathered from the file's columns; the run's ends are the counts of
+    # records before its edge frames, and a region's histograms do not
+    # depend on the order of its vectors
+    order = np.argsort(mv_frames, kind="stable")
+    before = np.concatenate([[0], np.cumsum(np.bincount(mv_frames, minlength=len(pu_series)))])
     cuts = activity.detect_activity_change(pu_series, args.pu_threshold, window=args.pu_window)
     edges = [0, *cuts, len(pu_series)]
-    bounds = np.searchsorted(frames, edges).tolist()
+    bounds = before[edges].tolist()
     if args.training:
         training = _read_training_dir(args.training)
     else:
@@ -311,7 +317,7 @@ def cmd_classify(args) -> int:
 
     regions = []
     for start, end, lo, hi in zip(edges, edges[1:], bounds, bounds[1:]):
-        vectors = vectors_by_frame[lo:hi]
+        vectors = mv_vectors[order[lo:hi]]
         pu_mean = float(np.mean(pu_series[start:end]))
         features = activity.extract_mv_features(vectors, pu_mean)
         label = activity.classify(features, training, k=args.k, bin_cache=bin_cache)
@@ -409,7 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also encode every segment at the constant sweep QP whose segment-0 "
                         "bitrate is nearest this, and report the gains against it "
                         "(one more encode per segment); no baseline runs without it")
-    p.add_argument("--constraint-schedule", help="region schedule JSON from classify")
+    p.add_argument("--constraint-schedule",
+                   help="region schedule JSON from classify; a segment takes the region its "
+                        "first frame falls in, or the last region once past every region, "
+                        "and one before or between the regions is a data error")
     p.add_argument("--decisions", help="decision log output path")
     p.set_defaults(func=cmd_optimize)
 

@@ -254,32 +254,41 @@ def newton_solve(
     raises ``TargetUnreachableError`` carrying the boundary QP whose
     prediction is nearest the target.
     """
-    if model.order not in (1, 2):
+    coefficients = model.coefficients
+    if len(coefficients) == 3:
+        c0, c1, c2 = coefficients
+    elif len(coefficients) == 2:
+        (c0, c1), c2 = coefficients, 0.0
+    else:
         raise SolverError(f"model order must be 1 or 2, got {model.order}")
     if target <= 0.0:
         raise SolverError("target must be positive")
     log_target = math.log(target)
-    c0, c1, *higher = model.coefficients
-    c2 = higher[0] if higher else 0.0
     c = c0 - log_target
 
+    r1 = r2 = math.nan  # no root; NaN is never in range
     if c2 == 0.0:
-        roots = [-c / c1] if c1 != 0.0 else []
+        if c1 != 0.0:
+            r1 = -c / c1
     else:
         disc = c1 * c1 - 4.0 * c2 * c
-        if disc < 0.0:
-            roots = []
-        else:
+        if disc >= 0.0:
             t = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
-            roots = [t / c2, c / t] if t != 0.0 else [0.0]  # t == 0: c1 == c == 0
-
-    in_range = [r for r in roots if model.in_range(r)]
-    if in_range:
-        q = min(max(start, model.qp_min), model.qp_max)
-        return min(in_range, key=lambda r: (abs(r - q), r))
+            r1, r2 = (t / c2, c / t) if t != 0.0 else (0.0, math.nan)  # t == 0: c1 == c == 0
 
     lo, hi = model.qp_min, model.qp_max
-    boundary = min((lo, hi), key=lambda b: abs(model.log_value(b) - log_target))
+    in1, in2 = model.in_range(r1), model.in_range(r2)
+    if in1 and in2:  # the nearer, then the lower: the order of (abs(r - q), r)
+        q = min(max(start, lo), hi)
+        d1, d2 = abs(r1 - q), abs(r2 - q)
+        return r1 if d1 < d2 or (d1 == d2 and r1 <= r2) else r2
+    if in1:
+        return r1
+    if in2:
+        return r2
+
+    miss_lo = abs(model.log_value(lo) - log_target)
+    boundary = lo if miss_lo <= abs(model.log_value(hi) - log_target) else hi
     raise TargetUnreachableError(
         f"target unreachable within QP range [{lo}, {hi}]", boundary_qp=float(boundary)
     )

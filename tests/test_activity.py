@@ -1,5 +1,8 @@
+import json
 import math
 import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -577,3 +580,120 @@ class TestOneParse:
                 read_pu_series(path)
         else:
             assert [count.hex() for count in read_pu_series(path)] == expected
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the file was read whole or line by line")
+
+
+class TestBlockCheck:
+    """A plain named file is checked in blocks from disk; a cell across a block edge counts once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(" \t\r\n0a.", max_size=40), cuts=st.lists(st.integers(0, 40), max_size=6))
+    def test_cell_count_ignores_where_blocks_end(self, text, cuts):
+        data = text.encode()
+        edges = sorted({0, len(data), *(min(cut, len(data)) for cut in cuts)})
+        blocks = [data[lo:hi] for lo, hi in zip(edges, edges[1:])]
+        assert activity._cell_count(blocks) == len(data.split())
+
+    @pytest.mark.parametrize("block", [b"0 1\xff", b"0,1"], ids=["not-plain", "comma"])
+    def test_cell_count_stops_at_text_numpy_splits_otherwise(self, block):
+        assert activity._cell_count([b"0 1 ", block]) is None
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_MV_TEXT, block=st.integers(1, 9))
+    def test_any_block_size_gives_the_line_readers_values(self, tmp_path, text, block):
+        path = tmp_path / "field.mv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(activity, "_BLOCK", block):
+            try:
+                expected = line_reader(path)
+            except ActivityError:
+                with pytest.raises(ActivityError):
+                    read_mv_field(path)
+            else:
+                assert hexed(*read_mv_field(path)) == expected
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 18])
+    def test_plain_file_is_never_read_whole(self, tmp_path, monkeypatch, block):
+        path = tmp_path / "field.mv"
+        path.write_bytes(b"0 0 0 1.5 -2\r\n12 3 45 6.25 -7e1\n\n 7\t0 0 .5 5.\n")
+        expected = line_reader(path)
+        monkeypatch.setattr(activity, "_BLOCK", block)
+        monkeypatch.setattr(records, "read_bytes", refuse)
+        monkeypatch.setattr(records, "read_rows", refuse)
+        calls = recording_loadtxt(monkeypatch)
+        assert hexed(*read_mv_field(path)) == expected
+        assert [type(source) for source, _ in calls] == [str]
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_extra_cell_across_block_edges_is_named(self, tmp_path, monkeypatch, block):
+        path = tmp_path / "field.mv"
+        path.write_text("0 0 0 1 2\n1 0 0 3 4 99\n2 0 0 5 6\n")
+        monkeypatch.setattr(activity, "_BLOCK", block)
+        with pytest.raises(ActivityError, match="6 cells, an MV record has 5") as info:
+            read_mv_field(path)
+        assert str(info.value).startswith(f"{path}:2:")
+
+    def test_columns_are_views_of_one_record_array(self, tmp_path):
+        path = tmp_path / "field.mv"
+        path.write_text("0 0 0 1.5 -2\n3 1 1 2 4\n")
+        frames, vectors = read_mv_field(path)
+        assert frames.base is vectors.base  # the record array
+        assert vectors.shape == (2, 2) and vectors.strides == (24, 8)
+        assert frames.tolist() == [0, 3] and vectors.tolist() == [[1.5, -2.0], [2.0, 4.0]]
+
+
+def write_large_clip(tmp_path, frames=1000, per_frame=120):
+    """An MV file of ``frames * per_frame`` records over two PU levels, and a policy."""
+    rng = np.random.default_rng(7)
+    frame = np.repeat(np.arange(frames), per_frame)
+    block = np.arange(frame.size) % per_frame
+    cells = np.column_stack([frame, block % 12, block // 12, rng.normal(0.0, 3.0, (frame.size, 2))])
+    mv = tmp_path / "field.mv"
+    np.savetxt(mv, cells, fmt="%d %d %d %.4f %.4f")
+    pu = tmp_path / "pu.txt"
+    pu.write_text("".join(f"{f} {900 if f < 400 else 300}\n" for f in range(frames)))
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({label: {"mode": "min_bitrate", "min_quality": 38.0,
+                                          "min_fps": 25.0} for label in LABELS}))
+    return mv, pu, policy, frame.size
+
+
+def traced_peak(call):
+    """Bytes ``call`` allocates at its peak beyond what is held before it, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestMvMemory:
+    """The MV path holds each record once and nothing of the file's text beside it."""
+
+    RECORD_BYTES = activity._MV_COLUMNS.itemsize
+
+    def test_read_peaks_near_its_record_array(self, tmp_path):
+        mv, _, _, records_n = write_large_clip(tmp_path)
+        assert records_n >= 100_000
+        # the file is 4 records' text to 3 records' array; holding the text
+        # once beside the records read 2.9 times the array
+        peak = traced_peak(lambda: read_mv_field(mv))
+        assert peak <= 1.2 * self.RECORD_BYTES * records_n
+
+    def test_classify_peak(self, tmp_path, capsys):
+        from segenc import cli
+
+        mv, pu, policy, records_n = write_large_clip(tmp_path)
+        argv = ["classify", "--mv-file", str(mv), "--pu-file", str(pu), "--policy", str(policy)]
+        peak = traced_peak(lambda: cli.main(argv))
+        assert "frames [0, " in capsys.readouterr().out
+        # measured 3.16 times the record array (9.1 MB): the records, the
+        # frame order, the largest region's vectors and its histograms'
+        # work arrays; sorted copies of every record read 3.76 times
+        assert peak <= 3.4 * self.RECORD_BYTES * records_n

@@ -415,6 +415,55 @@ class TestMalformedSchedule:
         assert str(path) in err and message in err
 
 
+class TestScheduleGaps:
+    """A segment takes the region its first frame is in, or the last past every region."""
+
+    @staticmethod
+    def write_schedule(tmp_path, *regions):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"version": 1, "regions": [
+            {"start_frame": start, "end_frame": end, "constraints": {
+                "mode": "max_quality", "max_bitrate_kbps": kbps, "min_fps": 20}}
+            for start, end, kbps in regions]}))
+        return path
+
+    @staticmethod
+    def optimize(schedule, frames, *extra):
+        return run_cli("optimize", "--codec", "synthetic", "--frames", frames, "--fps", 50,
+                       "--segment-seconds", 1, "--mode", "max_quality",
+                       "--max-bitrate-kbps", 9000, "--min-fps", 20,
+                       "--constraint-schedule", schedule, *extra)
+
+    @pytest.mark.parametrize("regions, frame", [
+        (((0, 100, 9000), (200, 300, 3000)), 100),  # took the last region's 3000 kbps
+        (((50, 300, 9000),), 0),
+    ], ids=["between-regions", "before-the-first"])
+    def test_segment_outside_every_region_is_data_error(self, tmp_path, capsys, regions, frame):
+        schedule = self.write_schedule(tmp_path, *regions)
+        assert self.optimize(schedule, 300) == 2
+        err = capsys.readouterr().err
+        assert str(schedule) in err and f"frame {frame}" in err
+
+    def test_segment_past_every_region_takes_the_last(self, tmp_path, capsys, monkeypatch):
+        applied = {}
+        schedule_fn = cli._schedule_fn
+
+        def recording(path):
+            lookup = schedule_fn(path)
+
+            def record(segment):
+                constraints = lookup(segment)
+                applied[segment.start] = constraints.max_bitrate_kbps
+                return constraints
+
+            return record
+
+        monkeypatch.setattr(cli, "_schedule_fn", recording)
+        schedule = self.write_schedule(tmp_path, (0, 100, 9000), (100, 200, 3000))
+        assert self.optimize(schedule, 300) == 0
+        assert applied == {0: 9000, 50: 9000, 100: 3000, 150: 3000, 200: 3000, 250: 3000}
+
+
 class TestProcessPath:
     """``optimize`` through ProcessEncoder with the lossy stand-in codec."""
 
@@ -620,7 +669,8 @@ class TestClassify:
     @pytest.mark.parametrize("pu_frames, extra_mv, outside", [
         (100, "", 100),
         (150, "-3 0 0 1.0 1.0\n", -3),
-    ], ids=["longer-clip", "negative-frame"])
+        (150, "200 0 0 1.0 1.0\n-3 0 0 1.0 1.0\n", 200),  # the first in file order
+    ], ids=["longer-clip", "negative-frame", "two-outside"])
     def test_mv_frame_outside_the_pu_series_is_data_error(self, tmp_path, rng, capsys,
                                                           pu_frames, extra_mv, outside):
         # before the check, the MV records of frames 100-149 were dropped
