@@ -421,3 +421,44 @@ class TestPinnedDecisions:
         state = run_segment_loop(SteppedEncoder(30, 1.5, law), segments(60), cs)
         got = [(r.config.gop, r.config.qp, r.config.filters_on) for r in state.history]
         assert got == self.EXPECTED
+
+
+class TestPinnedScheduledDecisions:
+    """Every decision of a scheduled multi-group run, as the solver made it when recorded.
+
+    The law and the bitrate step of ``TestPinnedDecisions``, under two
+    constraint regions of different modes: ``max_quality`` up to segment
+    20, then ``min_bitrate`` with an encode-time bound, built afresh for
+    each segment.  The last segment is 60 frames, not 150, so its time bound
+    asks less of the encoding rate.  A change to what a solve depends on
+    (the constraint set, the frame count, the group's models) shows here.
+    """
+
+    EXPECTED = (
+        [("B6", 31, True)]
+        + [("B6", 30, True)] * 19
+        + [("B6", 34, False)]
+        + [("B6", 36, False)] * 10
+        + [("B6", 36, True), ("B6", 36, False), ("B6", 36, True)]
+        + [("B3", 33, False), ("B4", 33, False), ("B2", 33, False), ("B6", 36, False)]
+        + [("B3", 33, True), ("B6", 36, False)]
+    )
+
+    def test_decision_sequence_across_regions_and_a_short_last_segment(self):
+        pinned = TestPinnedDecisions
+        law = SyntheticLaw(
+            {gop: REFERENCE_MODEL_SETS[("x265", gop, set_)] for gop, set_ in pinned.GOPS},
+            pinned.FILTER_OFFSETS,
+        )
+        first = make_mode("max_quality", {"max_bitrate_kbps": 8000.0, "min_fps": 30.0})
+
+        def schedule(segment):
+            if segment.index < 20:
+                return first
+            return make_mode("min_bitrate", {"min_quality": 37.0, "max_time_s": 2.5})
+
+        run = make_segments(39 * 150 + 60, 50, 3.0)
+        assert run[-1].frame_count == 60
+        state = run_segment_loop(SteppedEncoder(30, 1.5, law), run, first, schedule=schedule)
+        got = [(r.config.gop, r.config.qp, r.config.filters_on) for r in state.history]
+        assert got == self.EXPECTED
