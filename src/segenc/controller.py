@@ -13,6 +13,14 @@ same constrained problem; the group whose solution achieves the best mode
 objective among constraint-satisfying groups wins, ties breaking toward
 lower predicted bitrate, then the structurally simpler GOP.  Chosen QPs are
 additionally kept within +/-``QP_STEP_LIMIT`` of the previous segment's QP.
+
+A group's solve is a pure function of its models, the constraint values,
+the segment's frame count and the grid, and an encode moves one group's
+models only.  So each group's last solve is kept on the state and reused
+while its inputs are unchanged: a segment after the bootstrap solves the
+group its encode refitted, and every group again where a constraint
+schedule changes region or the frame count changes (a shorter last
+segment).  The decisions are the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -90,12 +98,21 @@ class DecisionRecord:
 @dataclass(slots=True)
 class ControllerState:
     """``models`` are the bootstrap fits, intercept-corrected after encodes;
-    ``samples`` are the samples of the bootstrap fits only."""
+    ``samples`` are the samples of the bootstrap fits only.
+
+    ``solves`` holds each group's last solve as ``(models, (constraints,
+    frames, grid), rank, solution)``, the solution None where the solve
+    raised.  ``choose_gop_model`` reuses it only while the group's models
+    dict is the same object, so an encode replaces that dict, never edits
+    it in place.  A kept solution's dicts may sit in decision records too;
+    both are read only.
+    """
 
     models: dict[GroupKey, dict[str, RdModel]] = field(default_factory=dict)
     samples: dict[GroupKey, dict[str, list[tuple[int, float]]]] = field(default_factory=dict)
     history: list[DecisionRecord] = field(default_factory=list)
     sweep: list[SegmentMeasurement] = field(default_factory=list)
+    solves: dict[GroupKey, tuple] = field(default_factory=dict)
 
 
 def _objectives_for(measurements: Sequence[SegmentMeasurement]) -> tuple[str, ...]:
@@ -211,33 +228,52 @@ def choose_gop_model(
 
     Ties break toward lower predicted bitrate, then the simpler GOP (rank
     in ``grid``'s structure list), then the filter flags.  When no group
-    satisfies the constraints the least-violation group is returned.
+    satisfies the constraints the least-violation group is returned.  A
+    group whose models dict, constraint values, ``segment_frames`` and grid
+    are those of its kept solve (``state.solves``) is not solved again;
+    that includes a solve that found no solution.
     """
     if not state.models:
         raise ControllerError("no fitted model groups")
+    inputs = (constraints, segment_frames, grid)
     best: tuple[tuple, GroupKey, dict[str, RdModel], QpSolution] | None = None
     for key, models in state.models.items():
-        try:
-            sol = solve_constrained(
-                models,
-                constraints,
-                qp_bounds=grid.qp_bounds,
-                start=grid.newton_start,
-                segment_frames=segment_frames,
-            )
-        except ValueError:
-            continue
-        rank = (
-            *candidate_rank(sol.predicted, sol.satisfied, sol.violations, constraints),
-            grid.gop_rank(key[0]),
-            key[1],
-        )
-        if best is None or rank < best[0]:
+        kept = state.solves.get(key)
+        if kept is None or kept[0] is not models or kept[1] != inputs:
+            kept = state.solves[key] = (models, inputs, *_solve_group(key, models, *inputs))
+        _, _, rank, sol = kept
+        if sol is not None and (best is None or rank < best[0]):
             best = (rank, key, models, sol)
     if best is None:
         raise ControllerError("no group produced a solution")
     _, key, models, sol = best
     return key, models, sol
+
+
+def _solve_group(
+    key: GroupKey,
+    models: dict[str, RdModel],
+    constraints: ConstraintSet,
+    segment_frames: int | None,
+    grid: CodecGrid,
+) -> tuple[tuple, QpSolution | None]:
+    """The group's rank and solution; ``((), None)`` where the solve raised ValueError."""
+    try:
+        sol = solve_constrained(
+            models,
+            constraints,
+            qp_bounds=grid.qp_bounds,
+            start=grid.newton_start,
+            segment_frames=segment_frames,
+        )
+    except ValueError:
+        return (), None
+    rank = (
+        *candidate_rank(sol.predicted, sol.satisfied, sol.violations, constraints),
+        grid.gop_rank(key[0]),
+        key[1],
+    )
+    return rank, sol
 
 
 def run_segment_loop(

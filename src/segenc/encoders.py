@@ -16,10 +16,11 @@ encoder's wall-clock time.  An encode maps only its own segment of the source
 file and drops it when measured, so memory follows one segment, not the clip.
 Every batch of independent encodes (a sweep, the bootstrap grid, the
 constant-QP baseline) runs through :func:`encode_batch`, on as many threads
-as the encoder's ``workers``.  A sweep table row is a measurement and its
-Pareto flag: :func:`read_sweep_table` gives ``(SegmentMeasurement, flag)``
-pairs, :func:`check_sweep_rows` checks them against the run that resumes
-the table, and :func:`write_sweep_table` writes them back byte for byte.
+as the encoder's ``workers``, or in the caller's thread when that is one.
+A sweep table row is a measurement and its Pareto flag:
+:func:`read_sweep_table` gives ``(SegmentMeasurement, flag)`` pairs,
+:func:`check_sweep_rows` checks them against the run that resumes the
+table, and :func:`write_sweep_table` writes them back byte for byte.
 
 The synthetic encoder evaluates a known ground-truth law
 
@@ -37,11 +38,9 @@ import os
 import shlex
 import shutil
 import string
-import subprocess
 import tempfile
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence
@@ -464,6 +463,8 @@ class ProcessEncoder:
     @staticmethod
     def _run(template: Sequence[str], subs: Mapping[str, object]) -> tuple[float, str, str]:
         """Run one split template, its placeholders filled from ``subs``."""
+        import subprocess  # here, so that runs which spawn no process never load it
+
         argv = [part.format_map(subs) for part in template]
         started = time.perf_counter()
         proc = subprocess.run(argv, capture_output=True, text=True)
@@ -557,8 +558,21 @@ def encode_batch(
     yielded, so no more than ``workers`` encodes are ever under way.  A
     caller that stops early closes the generator (``contextlib.closing``):
     no further job starts, and the close returns once those under way end.
+
+    With one worker there is nothing to overlap: each job is encoded in the
+    caller's thread when its result is asked for, and no pool is built.
     """
     jobs, workers = iter(jobs), encoder.workers
+    if workers == 1:
+        for job in jobs:
+            try:
+                result = encoder.encode(*job)
+            except EncoderError as exc:
+                result = exc
+            yield result
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque(pool.submit(encoder.encode, *job) for job in itertools.islice(jobs, workers))
         while pending:

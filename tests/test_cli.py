@@ -896,31 +896,40 @@ class TestMetrics:
 
 
 class TestImportBudget:
-    """No command loads scipy, which costs about 50 MB of resident memory."""
+    """No command loads scipy, which costs about 50 MB of resident memory,
+    and a synthetic run loads neither the process nor the thread-pool modules."""
 
     PROBE = (
         "import sys\n"
         "import segenc, segenc.cli as cli\n"
         "code = cli.main(sys.argv[1:])\n"
-        "print(code, 'scipy' in sys.modules)\n"
+        "print(code, *(name for name in WATCH if name in sys.modules))\n"
     )
 
-    def probe(self, tmp_path, *args, preamble=""):
+    def probe(self, tmp_path, *args, preamble="", watch=("scipy",)):
+        """The names in ``watch`` that the command left loaded."""
         # the child inherits the PYTHONPATH that conftest points at src/
         proc = subprocess.run(
-            [sys.executable, "-c", preamble + self.PROBE, *map(str, args)],
+            [sys.executable, "-c", f"{preamble}WATCH = {watch!r}\n{self.PROBE}", *map(str, args)],
             capture_output=True, text=True, cwd=tmp_path, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        code, loaded = proc.stdout.splitlines()[-1].split()
+        code, *loaded = proc.stdout.splitlines()[-1].split()
         assert code == "0", proc.stderr
-        return loaded == "True"
+        return set(loaded)
 
     def test_synthetic_optimize_leaves_scipy_unloaded(self, tmp_path):
         assert not self.probe(
             tmp_path, "optimize", "--codec", "synthetic", "--frames", 150, "--fps", 50,
             "--mode", "max_quality", "--max-bitrate-kbps", 9000, "--min-fps", 20,
         )
+
+    def test_synthetic_optimize_spawns_no_process_and_builds_no_pool(self, tmp_path):
+        assert self.probe(
+            tmp_path, "optimize", "--codec", "synthetic", "--frames", 600, "--fps", 50,
+            "--mode", "max_quality", "--max-bitrate-kbps", 9000, "--min-fps", 20,
+            watch=("subprocess", "concurrent.futures", "logging"),
+        ) == set()
 
     def test_process_optimize_leaves_scipy_unloaded(self, tmp_path, rng):
         clip = TestProcessPath()

@@ -1,13 +1,16 @@
+import functools
 import math
 import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segenc import controller
 from segenc.coefficients import REFERENCE_MODEL_SETS
 from segenc.controller import (
     ControllerError,
+    ControllerState,
     _refresh_group,
     bootstrap,
     choose_gop_model,
@@ -15,10 +18,16 @@ from segenc.controller import (
     summarize,
     write_decision_log,
 )
-from segenc.encoders import EncoderError, SyntheticEncoder, SyntheticLaw, default_law
+from segenc.encoders import (
+    EncoderError,
+    SyntheticEncoder,
+    SyntheticLaw,
+    default_law,
+    synth_encode,
+)
 from segenc.media import make_segments
 from segenc.models import fit_log_poly, predict
-from segenc.solver import ConstraintSet, make_mode
+from segenc.solver import ConstraintSet, make_mode, solve_constrained
 
 B6 = REFERENCE_MODEL_SETS[("x265", "B6", "max_quality")]
 B3 = REFERENCE_MODEL_SETS[("x265", "B3", "max_quality")]
@@ -462,3 +471,127 @@ class TestPinnedScheduledDecisions:
         state = run_segment_loop(SteppedEncoder(30, 1.5, law), run, first, schedule=schedule)
         got = [(r.config.gop, r.config.qp, r.config.filters_on) for r in state.history]
         assert got == self.EXPECTED
+
+
+def pinned_law():
+    """The eight-group law of ``TestPinnedDecisions``."""
+    pinned = TestPinnedDecisions
+    return SyntheticLaw(
+        {gop: REFERENCE_MODEL_SETS[("x265", gop, set_)] for gop, set_ in pinned.GOPS},
+        pinned.FILTER_OFFSETS,
+    )
+
+
+PINNED_MAXQ = make_mode("max_quality", {"max_bitrate_kbps": 8000.0, "min_fps": 30.0})
+
+
+def solves_per_segment(monkeypatch, encoder, run, constraints, **kwargs):
+    """The loop's state, and how many solves each segment after the first took."""
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(kw.get("segment_frames"))
+        return solve_constrained(*args, **kw)
+
+    monkeypatch.setattr(controller, "solve_constrained", counting)
+    counts = {}
+    encode = encoder.encode
+
+    def counted_encode(config, segment):
+        if segment.index > 0:
+            counts[segment.index] = len(calls) - sum(counts.values())
+        return encode(config, segment)
+
+    encoder.encode = counted_encode
+    state = run_segment_loop(encoder, run, constraints, **kwargs)
+    return state, [counts[i] for i in range(1, len(run))]
+
+
+class TestSolveCache:
+    """``choose_gop_model`` solves a group again only when its inputs changed."""
+
+    GROUPS = 8  # four GOPs, filters on and off
+
+    def test_one_solve_per_segment_after_the_first(self, monkeypatch):
+        encoder = SyntheticEncoder(pinned_law())
+        state, counts = solves_per_segment(monkeypatch, encoder, segments(40), PINNED_MAXQ)
+        assert len(state.models) == self.GROUPS
+        assert counts == [self.GROUPS] + [1] * 38
+
+    def test_every_group_is_solved_again_at_a_region_edge_and_a_short_last_segment(
+        self, monkeypatch
+    ):
+        def schedule(segment):  # the later region's set is equal each time, never the same
+            if segment.index < 20:
+                return PINNED_MAXQ
+            return make_mode("min_bitrate", {"min_quality": 37.0, "max_time_s": 2.5})
+
+        run = make_segments(39 * 150 + 60, 50, 3.0)
+        state, counts = solves_per_segment(
+            monkeypatch, SteppedEncoder(30, 1.5, pinned_law()), run, PINNED_MAXQ,
+            schedule=schedule,
+        )
+        resolved = {i + 1 for i, n in enumerate(counts) if n == self.GROUPS}
+        assert resolved == {1, 20, 39}
+        assert all(n == 1 for i, n in enumerate(counts) if i + 1 not in resolved)
+
+    def test_a_failed_encode_solves_nothing_again(self, monkeypatch):
+        encoder = FlakyEncoder(pinned_law(), fail_segments={10})
+        state, counts = solves_per_segment(monkeypatch, encoder, segments(20), PINNED_MAXQ)
+        assert counts[10] == 0  # segment 11: no group's models moved
+        failed, after = state.history[10], state.history[11]
+        assert failed.failed and not after.failed
+        assert after.config == failed.config and after.predicted == failed.predicted
+
+    CONSTRAINT_SETS = (
+        ("max_quality", {"max_bitrate_kbps": 8000.0, "min_fps": 30.0}),
+        ("min_bitrate", {"min_quality": 37.0, "max_time_s": 2.5}),
+        ("max_enc_rate", {"min_quality": 36.0, "max_bitrate_kbps": 6000.0}),
+        ("max_quality", {"max_bitrate_kbps": 2000.0, "max_time_s": 0.5}),
+    )
+
+    @staticmethod
+    @functools.cache
+    def bootstrapped():
+        return bootstrap(SyntheticEncoder(pinned_law()), segments(1)[0], PINNED_MAXQ)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.none() | st.tuples(st.integers(-1, GROUPS - 1), st.integers(16, 45),
+                                  st.floats(0.5, 2.0)),
+            st.integers(0, len(CONSTRAINT_SETS) - 1),
+            st.booleans(),
+            st.sampled_from([None, 30, 60, 150]),
+        ),
+        min_size=1, max_size=12,
+    ))
+    def test_a_warm_state_chooses_as_a_cold_one(self, steps):
+        """Refresh, constraint and frame sequences; ``None`` frames fail time-bound solves.
+
+        A refresh moves group ``index`` of the sorted keys, or with index -1
+        the group chosen last, as an encode of the loop does.
+        """
+        base = self.bootstrapped()
+        law, grid = pinned_law(), pinned_law().grid()
+        warm = ControllerState(models=dict(base.models))
+        kept, chosen = {}, sorted(warm.models)[0]
+
+        def choose(state, cs, frames):
+            try:
+                return choose_gop_model(state, cs, grid=grid, segment_frames=frames)
+            except ControllerError as exc:
+                return str(exc)
+
+        for refresh, which, afresh, frames in steps:
+            if refresh is not None:
+                index, qp, factor = refresh
+                key = chosen if index < 0 else sorted(warm.models)[index]
+                m = synth_encode(grid.config(key[0], qp, key[1]), law, segments(1)[0])
+                _refresh_group(warm, key, replace(m, bitrate=m.bitrate * factor))
+            mode, bounds = self.CONSTRAINT_SETS[which]
+            cs = make_mode(mode, bounds) if afresh else kept.setdefault(which, make_mode(mode, bounds))
+            got = choose(warm, cs, frames)
+            assert got == choose(ControllerState(models=dict(warm.models)), cs, frames)
+            if not isinstance(got, str):
+                chosen = got[0]

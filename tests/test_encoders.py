@@ -364,6 +364,39 @@ class TestEncodeBatch:
         assert sorted(encoder.started) == list(range(8))
         assert encoder.running == 0
 
+    def test_one_worker_encodes_each_job_in_the_callers_thread(self):
+        class Recording(ThreadedFake):
+            threads = []
+
+            def work(self, index):
+                self.threads.append(threading.get_ident())
+
+        encoder = Recording(workers=1)
+        jobs = batch_jobs(encoder)
+        results = encode_batch(encoder, jobs)
+        assert encoder.started == []  # nothing runs before a result is asked for
+        first = next(results)
+        assert encoder.started == [0]
+        results = [first, *results]
+        assert [m.config for m in results] == [c for c, _ in jobs]
+        assert encoder.threads == [threading.get_ident()] * len(jobs)
+
+    def test_one_worker_yields_a_failure_in_its_place(self):
+        encoder = ThreadedFake(workers=1, fail_at={2, 7})
+        results = list(encode_batch(encoder, batch_jobs(encoder)))
+        assert [i for i, r in enumerate(results) if isinstance(r, EncoderError)] == [2, 7]
+        assert "job 7 failed" in str(results[7])
+        assert len(results) == len(encoder.configs())
+
+    def test_one_worker_stopping_at_a_failure_starts_no_later_job(self):
+        encoder = ThreadedFake(workers=1, fail_at={5})
+        with contextlib.closing(encode_batch(encoder, batch_jobs(encoder))) as results:
+            for result in results:
+                if isinstance(result, EncoderError):
+                    break
+        assert encoder.started == list(range(6))
+        assert encoder.most_running == 1 and encoder.running == 0
+
     def test_process_encoder_workers_fill_the_usable_cores(self, small_video, tmp_path, monkeypatch):
         monkeypatch.setattr(encoders, "usable_cores", lambda: 8)
         commands = CodecCommands(encode="true")
