@@ -101,10 +101,10 @@ def fit_log_poly(
     if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
         raise FitError("log undefined: objective values must be positive")
     y = np.log(values)
-    distinct = np.unique(qp)
-    if distinct.size < order + 1:
+    distinct = len(set(qp.tolist()))  # np.unique would load numpy.ma, 1.3 MB resident
+    if distinct < order + 1:
         raise FitError(
-            f"rank-deficient design: need at least {order + 1} distinct QPs, got {distinct.size}"
+            f"rank-deficient design: need at least {order + 1} distinct QPs, got {distinct}"
         )
     if np.ptp(y) == 0.0:
         raise FitError("degenerate data: zero response variance")

@@ -897,7 +897,8 @@ class TestMetrics:
 
 class TestImportBudget:
     """No command loads scipy, which costs about 50 MB of resident memory,
-    and a synthetic run loads neither the process nor the thread-pool modules."""
+    and a synthetic run loads neither the process, thread-pool nor
+    masked-array modules."""
 
     PROBE = (
         "import sys\n"
@@ -924,11 +925,11 @@ class TestImportBudget:
             "--mode", "max_quality", "--max-bitrate-kbps", 9000, "--min-fps", 20,
         )
 
-    def test_synthetic_optimize_spawns_no_process_and_builds_no_pool(self, tmp_path):
+    def test_synthetic_optimize_loads_no_process_pool_or_masked_array_module(self, tmp_path):
         assert self.probe(
             tmp_path, "optimize", "--codec", "synthetic", "--frames", 600, "--fps", 50,
             "--mode", "max_quality", "--max-bitrate-kbps", 9000, "--min-fps", 20,
-            watch=("subprocess", "concurrent.futures", "logging"),
+            watch=("subprocess", "concurrent.futures", "logging", "numpy.ma"),
         ) == set()
 
     def test_process_optimize_leaves_scipy_unloaded(self, tmp_path, rng):
