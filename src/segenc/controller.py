@@ -101,11 +101,11 @@ class ControllerState:
     ``samples`` are the samples of the bootstrap fits only.
 
     ``solves`` holds each group's last solve as ``(models, (constraints,
-    frames, grid), rank, solution)``, the solution None where the solve
-    raised.  ``choose_gop_model`` reuses it only while the group's models
-    dict is the same object, so an encode replaces that dict, never edits
-    it in place.  A kept solution's dicts may sit in decision records too;
-    both are read only.
+    frames, grid), rank, solution)``, rank and solution None where the
+    solve raised.  ``choose_gop_model`` reuses it only while the group's
+    models dict is the same object, so an encode replaces that dict, never
+    edits it in place.  A kept solution's dicts may sit in decision records
+    too; both are read only.
     """
 
     models: dict[GroupKey, dict[str, RdModel]] = field(default_factory=dict)
@@ -240,7 +240,22 @@ def choose_gop_model(
     for key, models in state.models.items():
         kept = state.solves.get(key)
         if kept is None or kept[0] is not models or kept[1] != inputs:
-            kept = state.solves[key] = (models, inputs, *_solve_group(key, models, *inputs))
+            try:
+                sol = solve_constrained(
+                    models,
+                    constraints,
+                    qp_bounds=grid.qp_bounds,
+                    start=grid.newton_start,
+                    segment_frames=segment_frames,
+                )
+            except ValueError:
+                sol = None
+            rank = None if sol is None else (
+                *candidate_rank(sol.predicted, sol.satisfied, sol.violations, constraints),
+                grid.gop_rank(key[0]),
+                key[1],
+            )
+            kept = state.solves[key] = (models, inputs, rank, sol)
         _, _, rank, sol = kept
         if sol is not None and (best is None or rank < best[0]):
             best = (rank, key, models, sol)
@@ -248,32 +263,6 @@ def choose_gop_model(
         raise ControllerError("no group produced a solution")
     _, key, models, sol = best
     return key, models, sol
-
-
-def _solve_group(
-    key: GroupKey,
-    models: dict[str, RdModel],
-    constraints: ConstraintSet,
-    segment_frames: int | None,
-    grid: CodecGrid,
-) -> tuple[tuple, QpSolution | None]:
-    """The group's rank and solution; ``((), None)`` where the solve raised ValueError."""
-    try:
-        sol = solve_constrained(
-            models,
-            constraints,
-            qp_bounds=grid.qp_bounds,
-            start=grid.newton_start,
-            segment_frames=segment_frames,
-        )
-    except ValueError:
-        return (), None
-    rank = (
-        *candidate_rank(sol.predicted, sol.satisfied, sol.violations, constraints),
-        grid.gop_rank(key[0]),
-        key[1],
-    )
-    return rank, sol
 
 
 def run_segment_loop(

@@ -590,7 +590,9 @@ class TestSolveCache:
                 m = synth_encode(grid.config(key[0], qp, key[1]), law, segments(1)[0])
                 _refresh_group(warm, key, replace(m, bitrate=m.bitrate * factor))
             mode, bounds = self.CONSTRAINT_SETS[which]
-            cs = make_mode(mode, bounds) if afresh else kept.setdefault(which, make_mode(mode, bounds))
+            cs = make_mode(mode, bounds)
+            if not afresh:  # the set this index gave before, the same object
+                cs = kept.setdefault(which, cs)
             got = choose(warm, cs, frames)
             assert got == choose(ControllerState(models=dict(warm.models)), cs, frames)
             if not isinstance(got, str):
