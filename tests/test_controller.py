@@ -558,11 +558,10 @@ class TestSolveCache:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(
         st.tuples(
-            st.none() | st.tuples(st.integers(-1, GROUPS - 1), st.integers(16, 45),
-                                  st.floats(0.5, 2.0)),
-            st.integers(0, len(CONSTRAINT_SETS) - 1),
-            st.booleans(),
-            st.sampled_from([None, 30, 60, 150]),
+            st.none() | st.tuples(st.just(-1) | st.integers(0, GROUPS - 1),
+                                  st.integers(16, 45), st.floats(0.5, 2.0)),
+            st.none() | st.tuples(st.integers(0, len(CONSTRAINT_SETS) - 1), st.booleans(),
+                                  st.sampled_from([None, 30, 60, 150])),
         ),
         min_size=1, max_size=12,
     ))
@@ -570,12 +569,14 @@ class TestSolveCache:
         """Refresh, constraint and frame sequences; ``None`` frames fail time-bound solves.
 
         A refresh moves group ``index`` of the sorted keys, or with index -1
-        the group chosen last, as an encode of the loop does.
+        the group chosen last, as an encode of the loop does.  A step
+        without new inputs keeps the last constraint set and frame count.
         """
         base = self.bootstrapped()
         law, grid = pinned_law(), pinned_law().grid()
         warm = ControllerState(models=dict(base.models))
         kept, chosen = {}, sorted(warm.models)[0]
+        which, afresh, frames = 0, False, 150
 
         def choose(state, cs, frames):
             try:
@@ -583,12 +584,14 @@ class TestSolveCache:
             except ControllerError as exc:
                 return str(exc)
 
-        for refresh, which, afresh, frames in steps:
+        for refresh, inputs in steps:
             if refresh is not None:
                 index, qp, factor = refresh
                 key = chosen if index < 0 else sorted(warm.models)[index]
                 m = synth_encode(grid.config(key[0], qp, key[1]), law, segments(1)[0])
                 _refresh_group(warm, key, replace(m, bitrate=m.bitrate * factor))
+            if inputs is not None:
+                which, afresh, frames = inputs
             mode, bounds = self.CONSTRAINT_SETS[which]
             cs = make_mode(mode, bounds)
             if not afresh:  # the set this index gave before, the same object

@@ -365,11 +365,11 @@ class TestEncodeBatch:
         assert encoder.running == 0
 
     def test_one_worker_encodes_each_job_in_the_callers_thread(self):
-        class Recording(ThreadedFake):
-            threads = []
+        threads = []
 
+        class Recording(ThreadedFake):
             def work(self, index):
-                self.threads.append(threading.get_ident())
+                threads.append(threading.get_ident())
 
         encoder = Recording(workers=1)
         jobs = batch_jobs(encoder)
@@ -379,7 +379,7 @@ class TestEncodeBatch:
         assert encoder.started == [0]
         results = [first, *results]
         assert [m.config for m in results] == [c for c, _ in jobs]
-        assert encoder.threads == [threading.get_ident()] * len(jobs)
+        assert threads == [threading.get_ident()] * len(jobs)
 
     def test_one_worker_yields_a_failure_in_its_place(self):
         encoder = ThreadedFake(workers=1, fail_at={2, 7})
