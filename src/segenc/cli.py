@@ -164,7 +164,8 @@ def _sweep(args, encoder, segments: list[media.Segment]) -> int:
     rows, those already there and the new, on the bootstrap's front points
     (``pareto.measured_points``): VMAF when every row has it, else PSNR.
     """
-    configs = encoder.configs()
+    grid = encoder.grid()
+    configs = grid.configs()
     segment_frames = [s.frame_count for s in segments]
     if args.segment is not None:
         if not 0 <= args.segment < len(segments):
@@ -174,9 +175,7 @@ def _sweep(args, encoder, segments: list[media.Segment]) -> int:
     out = Path(args.out)
     try:  # a table we cannot resume from is bad input, not an encoder failure
         rows = encoders.read_sweep_table(out) if out.exists() else []
-        done = encoders.check_sweep_rows(out, rows, segment_frames,
-                                         {encoders.config_key(c) for c in configs},
-                                         encoder.grid().codec)
+        done = encoders.check_sweep_rows(out, rows, segment_frames, grid)
     except EncoderError as exc:
         raise DataError(str(exc)) from None
 
@@ -242,16 +241,15 @@ def _schedule_fn(path: str | None):
             (int(r["start_frame"]), int(r["end_frame"]), ConstraintSet(**r["constraints"]))
             for r in raw["regions"]
         ]
-        last = regions[-1][2]
+        _, end_of_schedule, last = max(regions, key=lambda region: region[1])
     except (LookupError, TypeError, ValueError) as exc:  # a missing key or a bad value
         raise DataError(f"bad constraint schedule {path}: {exc!r}") from None
-    end_of_schedule = max(end for _, end, _ in regions)
 
     def lookup(segment: media.Segment) -> ConstraintSet:
         for start, end, cs in regions:
             if start <= segment.start < end:
                 return cs
-        if segment.start >= end_of_schedule:  # past every region: the last one holds
+        if segment.start >= end_of_schedule:  # past every region: the one ending last holds
             return last
         raise DataError(f"constraint schedule {path} has no region for the segment "
                         f"starting at frame {segment.start}")
@@ -417,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(one more encode per segment); no baseline runs without it")
     p.add_argument("--constraint-schedule",
                    help="region schedule JSON from classify; a segment takes the region its "
-                        "first frame falls in, or the last region once past every region, "
+                        "first frame falls in, or the one ending last once past every region, "
                         "and one before or between the regions is a data error")
     p.add_argument("--decisions", help="decision log output path")
     p.set_defaults(func=cmd_optimize)

@@ -162,7 +162,7 @@ def bootstrap(
     mode-optimal front entry, checked against hard (zero-tolerance) bounds
     since measured values carry no prediction error.
     """
-    sweep = _encode_all(encoder, ((cfg, first_segment) for cfg in encoder.configs()))
+    sweep = _encode_all(encoder, ((cfg, first_segment) for cfg in encoder.grid().configs()))
     if not sweep:
         raise ControllerError("insufficient data: empty sweep")
     objectives = _objectives_for(sweep)

@@ -1,16 +1,19 @@
 """Codec configuration grids, external encoder drivers, synthetic encoder.
 
 A codec's configuration space is one :class:`CodecGrid` (GOP structure x
-QP x filter flags, plus open/closed GOP for x265): its ``configs()`` are
-what a sweep encodes, its ``config()`` what the segment loop encodes.  Real
+QP x filter flags, plus open/closed GOP for x265) and nothing else: its
+``configs()`` are what a sweep encodes, its ``config()`` what the segment
+loop encodes, and its ``preset`` holds for all of them.  An
+:class:`Encoder` is its ``workers``, ``grid()`` and ``encode()``.  Real
 encoders are driven as black boxes through shell command templates with
 ``{input}``, ``{output}``, ``{qp}``, ``{gop}``, ``{gop_type}``, ``{preset}``,
 ``{keyint}``, ``{frames}``, ``{width}``, ``{height}``, ``{fps}``,
 ``{threads}`` and a 0/1 ``{deblock}``, ``{sao}`` or ``{restoration}`` per
 filter flag; the VMAF template has ``{reference}``, ``{distorted}`` and
-``{log}`` instead of input and output.  A :class:`ProcessEncoder` splits
-each template into arguments once, when it is built, and a placeholder
-its command is not given is an ``EncoderError`` then, before any encode.
+``{log}`` instead of input and output.  A :class:`ProcessEncoder` looks up
+its codec's grid in :data:`CODEC_GRIDS` and splits each template into
+arguments once, when it is built; an unknown codec, or a placeholder its
+command is not given, is an ``EncoderError`` then, before any encode.
 Bitrate comes from the output payload size and encoding rate from the
 encoder's wall-clock time.  An encode maps only its own segment of the source
 file and drops it when measured, so memory follows one segment, not the clip.
@@ -63,14 +66,13 @@ class EncoderError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class EncodingConfig:
-    """One point in a codec's configuration grid."""
+    """One point in a codec's configuration grid, as a sweep table row holds it."""
 
     codec: str
     gop: str
     qp: int
     filters: Filters
     gop_type: str | None = None
-    preset: str | None = None
 
     @property
     def filters_on(self) -> bool:
@@ -141,13 +143,12 @@ class CodecGrid:
             flags = itertools.product((False, True), repeat=len(self.filter_axes))
             combos = [tuple(zip(self.filter_axes, values)) for values in flags]
         axes = itertools.product(self.gops, self.qps, self.gop_types or (None,), combos)
-        return [EncodingConfig(self.codec, gop, qp, filters, gop_type, self.preset)
+        return [EncodingConfig(self.codec, gop, qp, filters, gop_type)
                 for gop, qp, gop_type, filters in axes]
 
     def config(self, gop: str, qp: int, filters: Filters) -> EncodingConfig:
         """What the segment loop encodes: a closed GOP where the codec has GOP types."""
-        return EncodingConfig(self.codec, gop, qp, filters,
-                              "closed" if self.gop_types else None, self.preset)
+        return EncodingConfig(self.codec, gop, qp, filters, "closed" if self.gop_types else None)
 
     def gop_rank(self, gop: str) -> int:
         return self.gops.index(gop) if gop in self.gops else len(self.gops)
@@ -193,20 +194,6 @@ CODEC_GRIDS: dict[str, CodecGrid] = {
 }
 
 
-def grid_for(codec: str) -> CodecGrid:
-    if codec == "synthetic":
-        return default_law().grid()
-    try:
-        return CODEC_GRIDS[codec]
-    except KeyError:
-        raise EncoderError(f"unknown codec {codec!r}") from None
-
-
-def enumerate_configs(codec: str) -> list[EncodingConfig]:
-    """``grid_for(codec).configs()``: 200 for x265 (open and closed GOP), 240 svt-av1, 100 vp9."""
-    return grid_for(codec).configs()
-
-
 class Encoder(Protocol):
     """What the sweep and the controller need from an encoder backend."""
 
@@ -216,8 +203,6 @@ class Encoder(Protocol):
         ...
 
     def grid(self) -> CodecGrid: ...
-
-    def configs(self) -> list[EncodingConfig]: ...
 
     def encode(self, config: EncodingConfig, segment: Segment) -> SegmentMeasurement: ...
 
@@ -322,9 +307,6 @@ class SyntheticEncoder:
     def grid(self) -> CodecGrid:
         return self.law.grid()
 
-    def configs(self) -> list[EncodingConfig]:
-        return self.grid().configs()
-
     def encode(self, config: EncodingConfig, segment: Segment) -> SegmentMeasurement:
         self.encode_calls += 1
         return synth_encode(config, self.law, segment)
@@ -388,7 +370,9 @@ class ProcessEncoder:
         workdir: str | Path | None = None,
         threads: int = 1,
     ):
-        self.codec = codec
+        if codec not in CODEC_GRIDS:
+            raise EncoderError(f"unknown codec {codec!r}")
+        self._grid = CODEC_GRIDS[codec]
         self.commands = commands
         self.video = video
         self.threads = threads
@@ -413,10 +397,7 @@ class ProcessEncoder:
         self.close()
 
     def grid(self) -> CodecGrid:
-        return grid_for(self.codec)
-
-    def configs(self) -> list[EncodingConfig]:
-        return self.grid().configs()
+        return self._grid
 
     def _split_templates(self) -> dict[str, list[str]]:
         """Each given template split into arguments once, its placeholders checked.
@@ -425,7 +406,7 @@ class ProcessEncoder:
         command is not given, raises ``EncoderError`` before any encode.
         """
         # every configuration of a grid fills the same names
-        sample = grid_for(self.codec).configs()[0]
+        sample = self._grid.configs()[0]
         config_names = self._substitutions(sample, Segment(0, 0, 1, 1.0)).keys()
         argv = {}
         for kind, paths in _TEMPLATE_PATHS.items():
@@ -448,7 +429,7 @@ class ProcessEncoder:
             "qp": config.qp,
             "gop": config.gop,
             "gop_type": config.gop_type or "",
-            "preset": config.preset or "",
+            "preset": self._grid.preset or "",
             "keyint": segment.frame_count,
             "width": self.video.width,
             "height": self.video.height,
@@ -481,9 +462,9 @@ class ProcessEncoder:
         if segment.end > self.video.frame_count:
             raise EncoderError("segment out of range for the source video")
         if not self.commands.encode:
-            raise EncoderError(f"no encode template registered for codec {self.codec!r}")
+            raise EncoderError(f"no encode template registered for codec {self._grid.codec!r}")
         if not self.commands.decode:
-            raise EncoderError(f"no decode template registered for codec {self.codec!r}")
+            raise EncoderError(f"no decode template registered for codec {self._grid.codec!r}")
 
         clip = self.video.frames_slice(segment.start, segment.end)
         # a directory per encode: concurrent encodes never share a path, and
@@ -624,7 +605,7 @@ def _table_row(segment: str, codec: str, gop: str, gop_type: str, qp: str, filte
 
 
 def read_sweep_table(path: str | Path) -> list[SweepRow]:
-    """Each row's measurement (no SSIM or preset: the table holds neither) and flag.
+    """Each row's measurement (no SSIM: the table holds none) and flag.
 
     The flag is True, False or None for a Pareto cell ``1``, ``0`` or ``-``.
     The first line must be ``#segenc-sweep``.  A row that is no valid
@@ -635,24 +616,24 @@ def read_sweep_table(path: str | Path) -> list[SweepRow]:
 
 
 def check_sweep_rows(path: str | Path, rows: Iterable[SweepRow], segment_frames: Sequence[int],
-                     configs: set[tuple], codec: str) -> set[tuple]:
+                     grid: CodecGrid) -> set[tuple]:
     """The rows' :func:`config_row_key` keys, each checked against the run that reads the table.
 
     ``segment_frames`` holds the frame count of each of the run's segments,
-    in segment order, and ``configs`` the :func:`config_key` of every
-    configuration the run encodes in each segment.  A row outside those
-    segments, off that grid, repeated, or whose fps x encode time (unless
-    fps is ``inf``) is not its segment's frame count raises EncoderError
-    naming the row.
+    in segment order, and ``grid`` is what the run encodes in each segment.
+    A row outside those segments, off ``grid.configs()``, repeated, or
+    whose fps x encode time (unless fps is ``inf``) is not its segment's
+    frame count raises EncoderError naming the row.
     """
+    configs = set(grid.configs())
     done: set[tuple] = set()
     for m, _ in rows:
         c = m.config
         key = config_row_key(m.segment_index, c)
         if not 0 <= m.segment_index < len(segment_frames):
             problem = f"is not among the run's segments 0..{len(segment_frames) - 1}"
-        elif config_key(c) not in configs:
-            problem = f"is not in the {codec} grid"
+        elif c not in configs:
+            problem = f"is not in the {grid.codec} grid"
         elif key in done:
             problem = "is in the table more than once"
         elif (m.enc_rate != math.inf
@@ -677,12 +658,6 @@ def table_measurement(m: SegmentMeasurement) -> SegmentMeasurement:
     return _table_row(*_cells(m, None))[0]
 
 
-def config_key(config: EncodingConfig) -> tuple:
-    """A configuration as a sweep row holds it: all but its preset, which the table lacks."""
-    c = config
-    return (c.codec, c.gop, c.gop_type, c.qp, c.filters)
-
-
 def config_row_key(segment_index: int, config: EncodingConfig) -> tuple:
-    """A sweep row's key: its segment and its :func:`config_key`."""
-    return (segment_index, *config_key(config))
+    """A sweep row's key: its segment and its configuration."""
+    return (segment_index, config)

@@ -178,14 +178,17 @@ class Segment:
 def make_segments(frame_count: int, fps: int, segment_seconds: float = 3.0) -> list[Segment]:
     """Partition [0, frame_count) into consecutive fixed-length segments.
 
-    Every full segment spans floor(fps * segment_seconds) frames; remainder
-    frames form one final shorter segment.
+    Every full segment spans floor(fps * segment_seconds) frames, a product
+    within float error of a whole number counting as that number (25 fps x
+    1.16 s is 29 frames, not 28); remainder frames form one final shorter
+    segment.
     """
     if frame_count <= 0:
         raise MediaError("no frames")
     if fps <= 0 or segment_seconds <= 0:
         raise MediaError("fps and segment_seconds must be positive")
-    per = int(fps * segment_seconds)
+    exact = fps * segment_seconds
+    per = round(exact) if math.isclose(exact, round(exact)) else math.floor(exact)
     if per <= 0:
         raise MediaError("segment shorter than one frame")
     segments = []

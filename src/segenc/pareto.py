@@ -108,20 +108,20 @@ def select_mode_optimal(
     constraint set as given (including its tolerance bands; pass a
     zero-tolerance set for hard bounds).  ``frames`` (the encoded frame
     count) gives each entry its encoding time, which a ``max_time_s`` bound
-    needs.  Ties break toward lower bitrate, then lower QP, then input order.
+    needs.  Ties break toward lower bitrate, then input order (the
+    bootstrap's sweep order: GOP rank, then QP).
     """
     if not front.entries:
         raise ValueError("empty front")
 
     def rank(item: tuple[int, tuple[Any, ObjectivePoint]]) -> tuple:
-        i, (config, point) = item
+        i, (_, point) = item
         pred = {constraints.quality_metric: point.quality, "bits": point.bitrate,
                 "enc_rate": point.enc_rate}
         if frames is not None:
             pred["enc_time"] = frames / point.enc_rate
         satisfied, violations = check_constraints(pred, constraints)
-        return (*candidate_rank(pred, satisfied, violations, constraints),
-                getattr(config, "qp", 0), i)
+        return (*candidate_rank(pred, satisfied, violations, constraints), i)
 
     return min(enumerate(front.entries), key=rank)[1]
 

@@ -176,7 +176,7 @@ def test_c07_controller_end_to_end_synthetic():
             m = record.measured
             assert m.bitrate <= 11205.77 * 1.10
             assert m.enc_rate >= 25.0 * 0.90
-        assert enc.encode_calls == len(enc.configs()) + (len(segments) - 1)
+        assert enc.encode_calls == len(enc.grid().configs()) + (len(segments) - 1)
 
         quality_at_29 = law.value("B6", "psnr", 29)
         minbr = make_mode("min_bitrate", {"min_quality": quality_at_29, "min_fps": 25.0})
@@ -185,7 +185,7 @@ def test_c07_controller_end_to_end_synthetic():
         assert [r.config.qp for r in state2.history[1:]] == [29, 29, 29]
         for record in state2.history[1:]:
             assert record.measured.quality_psnr >= quality_at_29 * (1 - 0.05)
-        assert enc2.encode_calls == len(enc2.configs()) + (len(segments) - 1)
+        assert enc2.encode_calls == len(enc2.grid().configs()) + (len(segments) - 1)
     report("criterion 7 (controller selects QP 28 / QP 29 with one encode per segment)")
 
 

@@ -68,7 +68,7 @@ class TestSweep:
         encoder = SyntheticEncoder()
         segment = make_segments(150, 50)[0]
         measured = {config_row_key(0, c): encoder.encode(c, segment)
-                    for c in encoder.configs()}
+                    for c in encoder.grid().configs()}
         off = [m for key, m in measured.items() if not want[key]]
         on = [m for key, m in measured.items() if want[key]][:3]
         resumed = tmp_path / "resumed.tsv"
@@ -416,7 +416,7 @@ class TestMalformedSchedule:
 
 
 class TestScheduleGaps:
-    """A segment takes the region its first frame is in, or the last past every region."""
+    """A segment takes its first frame's region; past every region, the one ending last."""
 
     @staticmethod
     def write_schedule(tmp_path, *regions):
@@ -462,6 +462,13 @@ class TestScheduleGaps:
         schedule = self.write_schedule(tmp_path, (0, 100, 9000), (100, 200, 3000))
         assert self.optimize(schedule, 300) == 0
         assert applied == {0: 9000, 50: 9000, 100: 3000, 150: 3000, 200: 3000, 250: 3000}
+
+    def test_segment_past_every_region_takes_the_one_ending_last(self, tmp_path):
+        schedule = self.write_schedule(tmp_path, (100, 200, 5000), (0, 100, 1000))
+        lookup = cli._schedule_fn(str(schedule))
+        at = {start: lookup(media.Segment(0, start, start + 50, 1.0)).max_bitrate_kbps
+              for start in (0, 50, 100, 150, 200, 250)}
+        assert at == {0: 1000, 50: 1000, 100: 5000, 150: 5000, 200: 5000, 250: 5000}
 
 
 class TestProcessPath:
@@ -562,7 +569,7 @@ class TestProcessPath:
         )
         assert code == 3
         assert "encoder error" in capsys.readouterr().err
-        grid = encoders.enumerate_configs("vp9")
+        grid = encoders.CODEC_GRIDS["vp9"].configs()
         first_failure = next(i for i, c in enumerate(grid) if c.qp == 20)
         # two workers: the failing encode and the one beside it, nothing queued after
         assert sorted(started, key=grid.index) == grid[: first_failure + 2]

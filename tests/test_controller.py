@@ -205,7 +205,7 @@ class TestSegmentLoop:
         enc = CountingEncoder()
         segs = segments_500()
         run_segment_loop(enc, segs, MAXQ)
-        sweep_size = len(enc.configs())
+        sweep_size = len(enc.grid().configs())
         assert enc.encode_calls == sweep_size + (len(segs) - 1)
 
     def test_decisions_converge_under_stationary_law(self):

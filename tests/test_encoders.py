@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import subprocess
 import sys
 import tempfile
 import textwrap
@@ -12,6 +13,7 @@ import pytest
 from segenc import encoders
 from segenc.coefficients import REFERENCE_MODEL_SETS
 from segenc.encoders import (
+    CODEC_GRIDS,
     CodecCommands,
     EncoderError,
     EncodingConfig,
@@ -22,8 +24,6 @@ from segenc.encoders import (
     config_row_key,
     default_law,
     encode_batch,
-    enumerate_configs,
-    grid_for,
     read_sweep_table,
     synth_encode,
     write_sweep_table,
@@ -38,22 +38,22 @@ B6 = REFERENCE_MODEL_SETS[("x265", "B6", "max_quality")]
 
 class TestGrids:
     def test_x265_has_200_configs(self):
-        configs = enumerate_configs("x265")
+        configs = CODEC_GRIDS["x265"].configs()
         assert len(configs) == 200
         assert len(set(configs)) == 200
 
     def test_svt_av1_has_240_configs(self):
-        configs = enumerate_configs("svt-av1")
+        configs = CODEC_GRIDS["svt-av1"].configs()
         assert len(configs) == 240
         assert len(set(configs)) == 240
 
     def test_vp9_defaults_to_100_enumerable_configs(self):
-        configs = enumerate_configs("vp9")
+        configs = CODEC_GRIDS["vp9"].configs()
         assert len(configs) == 100
         assert len(set(configs)) == 100
 
     def test_order_is_gop_then_qp_then_flags(self):
-        configs = enumerate_configs("vp9")
+        configs = CODEC_GRIDS["vp9"].configs()
         gops = [c.gop for c in configs]
         assert gops == sorted(gops, key=gops.index)  # grouped by GOP
         first_gop = [c for c in configs if c.gop == configs[0].gop]
@@ -61,15 +61,22 @@ class TestGrids:
         assert qps == sorted(qps)
 
     def test_stable_across_calls(self):
-        assert enumerate_configs("x265") == enumerate_configs("x265")
+        assert CODEC_GRIDS["x265"].configs() == CODEC_GRIDS["x265"].configs()
 
     def test_qp_grids(self):
-        assert {c.qp for c in enumerate_configs("x265")} == set(range(16, 44, 3))
-        assert {c.qp for c in enumerate_configs("svt-av1")} == set(range(16, 53, 4))
+        assert {c.qp for c in CODEC_GRIDS["x265"].configs()} == set(range(16, 44, 3))
+        assert {c.qp for c in CODEC_GRIDS["svt-av1"].configs()} == set(range(16, 53, 4))
 
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(EncoderError, match="unknown codec"):
-            enumerate_configs("h263")
+    def test_unknown_codec_rejected(self, small_video, tmp_path, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(subprocess, "run", no_process)
+        commands = CodecCommands(encode="cp {input} {output}", decode="cp {input} {output}")
+        for codec in ("h263", "synthetic"):  # the synthetic law is no process codec
+            with pytest.raises(EncoderError, match=f"unknown codec '{codec}'"):
+                ProcessEncoder(codec, commands, small_video, workdir=tmp_path / "w")
+        assert not (tmp_path / "w").exists()  # raised before the workdir is made
 
 
 class TestSyntheticLaw:
@@ -82,7 +89,7 @@ class TestSyntheticLaw:
     def test_encode_is_deterministic(self):
         enc = SyntheticEncoder()
         seg = make_segments(150, 50)[0]
-        cfg = enc.configs()[7]
+        cfg = enc.grid().configs()[7]
         assert synth_encode(cfg, enc.law, seg) == synth_encode(cfg, enc.law, seg)
 
     def test_bitrate_strictly_decreasing_in_qp(self):
@@ -90,7 +97,7 @@ class TestSyntheticLaw:
         seg = make_segments(150, 50)[0]
         rates = [
             synth_encode(cfg, enc.law, seg).bitrate
-            for cfg in enc.configs()
+            for cfg in enc.grid().configs()
             if not cfg.filters_on
         ]
         assert all(a > b for a, b in zip(rates, rates[1:]))
@@ -161,7 +168,7 @@ class TestProcessEncoder:
     def test_identity_codec_round_trip(self, stub_commands, small_video, tmp_path):
         enc = ProcessEncoder("x265", stub_commands, small_video, workdir=tmp_path / "w")
         seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
-        cfg = enumerate_configs("x265")[0]
+        cfg = CODEC_GRIDS["x265"].configs()[0]
         m = enc.encode(cfg, seg)
         # identity codec: payload is the raw segment, quality hits the cap
         assert m.quality_psnr == 100.0
@@ -181,7 +188,7 @@ class TestProcessEncoder:
         enc = ProcessEncoder("x265", cmds, small_video, workdir=tmp_path / "w")
         seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
         with pytest.raises(EncoderError, match="exit 9") as info:
-            enc.encode(enumerate_configs("x265")[0], seg)
+            enc.encode(CODEC_GRIDS["x265"].configs()[0], seg)
         assert "simulated encoder crash" in info.value.stderr
 
     def test_missing_template_rejected(self, small_video, tmp_path):
@@ -190,13 +197,13 @@ class TestProcessEncoder:
         )
         seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
         with pytest.raises(EncoderError, match="template"):
-            enc.encode(enumerate_configs("x265")[0], seg)
+            enc.encode(CODEC_GRIDS["x265"].configs()[0], seg)
 
     def test_segment_out_of_range_rejected(self, stub_commands, small_video, tmp_path):
         enc = ProcessEncoder("x265", stub_commands, small_video, workdir=tmp_path / "w")
         bad = make_segments(500, 10, 3.0)[1]
         with pytest.raises(EncoderError, match="out of range"):
-            enc.encode(enumerate_configs("x265")[0], bad)
+            enc.encode(CODEC_GRIDS["x265"].configs()[0], bad)
 
 
 ARGV_LOGGING_CODEC = textwrap.dedent(
@@ -234,7 +241,7 @@ class TestProcessEncoderFiles:
         commands, log = logging_codec
         enc = ProcessEncoder("x265", commands(), small_video, workdir=tmp_path / "w")
         seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
-        closed = enumerate_configs("x265")[0]
+        closed = CODEC_GRIDS["x265"].configs()[0]
         opened = dataclasses.replace(closed, gop_type="open")
         assert closed.gop_type == "closed"
         paths = {}
@@ -254,13 +261,13 @@ class TestProcessEncoderFiles:
         enc = ProcessEncoder("x265", commands(decode_mode), small_video, workdir=tmp_path / "w")
         seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
         with pytest.raises(EncoderError, match="decoded video"):
-            enc.encode(enumerate_configs("x265")[0], seg)
+            enc.encode(CODEC_GRIDS["x265"].configs()[0], seg)
 
     def test_no_file_outlives_an_encode(self, stub_commands, small_video, tmp_path):
         workdir = tmp_path / "w"
         with ProcessEncoder("x265", stub_commands, small_video, workdir=workdir) as enc:
             seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
-            enc.encode(enumerate_configs("x265")[0], seg)
+            enc.encode(CODEC_GRIDS["x265"].configs()[0], seg)
             assert list(workdir.iterdir()) == []
         assert workdir.is_dir()  # a workdir the caller gave stays
 
@@ -268,7 +275,7 @@ class TestProcessEncoderFiles:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with ProcessEncoder("x265", stub_commands, small_video) as enc:
             seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
-            enc.encode(enumerate_configs("x265")[0], seg)
+            enc.encode(CODEC_GRIDS["x265"].configs()[0], seg)
             assert len(list(tmp_path.glob("segenc-*"))) == 1
         assert list(tmp_path.glob("segenc-*")) == []
 
@@ -288,7 +295,7 @@ class ThreadedFake(SyntheticEncoder):
         pass
 
     def encode(self, config, segment):
-        index = self.configs().index(config)
+        index = self.grid().configs().index(config)
         with self.lock:
             self.started.append(index)
             self.running += 1
@@ -305,7 +312,7 @@ class ThreadedFake(SyntheticEncoder):
 
 def batch_jobs(encoder):
     segment = make_segments(150, 50)[0]
-    return [(c, segment) for c in encoder.configs()]
+    return [(c, segment) for c in encoder.grid().configs()]
 
 
 class TestEncodeBatch:
@@ -321,7 +328,7 @@ class TestEncodeBatch:
                 try:
                     return super().encode(config, segment)
                 finally:
-                    events[self.configs().index(config)].set()
+                    events[self.grid().configs().index(config)].set()
 
         encoder = Reverse(workers=4)
         jobs = batch_jobs(encoder)[:4]
@@ -344,9 +351,9 @@ class TestEncodeBatch:
             results = list(encode_batch(encoder, batch_jobs(encoder)))
         finally:
             sys.setswitchinterval(interval)
-        assert len(results) == len(encoder.configs())
+        assert len(results) == len(encoder.grid().configs())
         assert encoder.most_running == workers
-        assert sorted(encoder.started) == list(range(len(encoder.configs())))
+        assert sorted(encoder.started) == list(range(len(encoder.grid().configs())))
 
     def test_a_failure_is_yielded_in_its_place(self):
         encoder = ThreadedFake(workers=3, fail_at={2, 7})
@@ -386,7 +393,7 @@ class TestEncodeBatch:
         results = list(encode_batch(encoder, batch_jobs(encoder)))
         assert [i for i, r in enumerate(results) if isinstance(r, EncoderError)] == [2, 7]
         assert "job 7 failed" in str(results[7])
-        assert len(results) == len(encoder.configs())
+        assert len(results) == len(encoder.grid().configs())
 
     def test_one_worker_stopping_at_a_failure_starts_no_later_job(self):
         encoder = ThreadedFake(workers=1, fail_at={5})
@@ -439,7 +446,7 @@ def test_only_the_segment_being_encoded_is_resident(rng, tmp_path, monkeypatch):
         decode=f"{run} dec {{input}} {{output}} {{qp}}",
     )
     with ProcessEncoder("vp9", commands, video, workdir=tmp_path / "w") as enc:
-        config = enc.configs()[0]
+        config = enc.grid().configs()[0]
         for segment in segments:
             enc.encode(config, segment)
     assert len(resident) == len(segments)
@@ -458,7 +465,7 @@ class TestPlaceholders:
             decode=f"{run} {{input}} {{output}} {log} {{preset}}",
         )
         seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
-        cfg = enumerate_configs("vp9")[0]
+        cfg = CODEC_GRIDS["vp9"].configs()[0]
         with ProcessEncoder("vp9", commands, small_video, workdir=tmp_path / "w") as enc:
             enc.encode(cfg, seg)
         assert log.read_text().splitlines() == ["rt", "rt"]
@@ -493,7 +500,7 @@ class TestPlaceholders:
         split_again = []
         monkeypatch.setattr(encoders.shlex, "split", split_again.append)
         seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
-        for cfg in enumerate_configs("x265")[:2]:
+        for cfg in CODEC_GRIDS["x265"].configs()[:2]:
             enc.encode(cfg, seg)
         assert split_again == []
 
@@ -501,7 +508,7 @@ class TestPlaceholders:
     def test_module_docstring_lists_every_placeholder(self, codec, small_video, tmp_path):
         enc = ProcessEncoder(codec, CodecCommands(encode=""), small_video, workdir=tmp_path)
         seg = make_segments(small_video.frame_count, small_video.fps, 1.0)[0]
-        for cfg in enumerate_configs(codec):
+        for cfg in CODEC_GRIDS[codec].configs():
             paths = dict.fromkeys(("input", "output", "reference", "distorted", "log"), "")
             for name in enc._substitutions(cfg, seg, **paths):
                 assert f"``{{{name}}}``" in encoders.__doc__
@@ -552,7 +559,7 @@ class TestMeasurementAndSweepIO:
     def test_sweep_table_roundtrip(self, tmp_path):
         enc = SyntheticEncoder()
         seg = make_segments(150, 50)[0]
-        rows = [enc.encode(cfg, seg) for cfg in enc.configs()]
+        rows = [enc.encode(cfg, seg) for cfg in enc.grid().configs()]
         path = tmp_path / "sweep.tsv"
         write_sweep_table(path, [(m, True) for m in rows])
         back = read_sweep_table(path)
@@ -571,7 +578,7 @@ class TestMeasurementAndSweepIO:
         enc = SyntheticEncoder()
         seg = make_segments(150, 50)[0]
         path = tmp_path / "sweep.tsv"
-        write_sweep_table(path, [(enc.encode(cfg, seg), None) for cfg in enc.configs()[:3]])
+        write_sweep_table(path, [(enc.encode(cfg, seg), None) for cfg in enc.grid().configs()[:3]])
         lines = path.read_text().splitlines()
         lines[3] = "\t".join(edit(lines[3].split("\t")))
         path.write_text("\n".join(lines) + "\n")
@@ -579,6 +586,6 @@ class TestMeasurementAndSweepIO:
             read_sweep_table(path)
 
     def test_grid_for_synthetic_matches_law(self):
-        grid = grid_for("synthetic")
+        grid = default_law().grid()
         assert grid.gops == ("B6",)
         assert grid.qp_bounds == (16, 45)

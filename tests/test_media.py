@@ -52,6 +52,16 @@ class TestSegmentation:
         with pytest.raises(MediaError, match="no frames"):
             make_segments(0, 50, 3.0)
 
+    @pytest.mark.parametrize("fps, seconds, frames", [
+        (25, 1.16, 29),  # 25 * 1.16 is 28.999999999999996 in floats
+        (50, 0.58, 29),
+        (10, 2.89, 28),  # a real fraction still floors
+        (25, 1.1, 27),
+    ])
+    def test_segment_length_allows_for_float_error(self, fps, seconds, frames):
+        segs = make_segments(3 * frames + 1, fps, seconds)
+        assert [s.frame_count for s in segs] == [frames] * 3 + [1]
+
     def test_split_matches_make(self, rng):
         video = random_video(rng, n_frames=7, fps=2)
         segs = split_segments(video, 1.0)

@@ -50,7 +50,7 @@ def test_make_mode(bounds):
 def test_select_mode_optimal(bounds):
     encoder = SyntheticEncoder(LAW)
     segment = make_segments(150, 50)[0]
-    sweep = [encoder.encode(c, segment) for c in encoder.configs()]
+    sweep = [encoder.encode(c, segment) for c in encoder.grid().configs()]
     metric = bounds.get("quality_metric", "psnr")
     front = pareto_front([
         (m.config, ObjectivePoint.from_enc_rate(m.objective(metric), m.bitrate, m.enc_rate))
