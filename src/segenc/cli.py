@@ -59,7 +59,8 @@ def _load_project_config(path: str | None) -> dict:
     for name, tol in tolerances.items():
         if name not in TOLERANCES:
             raise DataError(f"project config {path}: unknown tolerance {name!r}")
-        if not isinstance(tol, (int, float)) or not 0.0 <= tol <= 0.5:
+        # bool is an int subclass; neither true nor false is a tolerance band
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 <= tol <= 0.5:
             raise DataError(f"project config {path}: {name}={tol!r} is not within [0, 0.5]")
     codecs = cfg.get("codecs", {})
     if not isinstance(codecs, dict):
@@ -233,17 +234,31 @@ def _constraints_from_args(args, tolerances: dict[str, float]) -> ConstraintSet:
 
 
 def _schedule_fn(path: str | None):
+    """The schedule's lookup; its frames are JSON integers and its regions
+    ``[start, end)`` with ``0 <= start < end``, none overlapping another."""
     if path is None:
         return None
     raw = records.load_json(path, DataError)
     try:
-        regions = [
-            (int(r["start_frame"]), int(r["end_frame"]), ConstraintSet(**r["constraints"]))
-            for r in raw["regions"]
-        ]
-        _, end_of_schedule, last = max(regions, key=lambda region: region[1])
+        regions = [(r["start_frame"], r["end_frame"], ConstraintSet(**r["constraints"]))
+                   for r in raw["regions"]]
     except (LookupError, TypeError, ValueError) as exc:  # a missing key or a bad value
         raise DataError(f"bad constraint schedule {path}: {exc!r}") from None
+    if not regions:
+        raise DataError(f"constraint schedule {path} has no region")
+    for start, end, _ in regions:  # bool is an int subclass, but no frame
+        if not all(isinstance(f, int) and not isinstance(f, bool) for f in (start, end)):
+            raise DataError(f"constraint schedule {path}: region [{start!r}, {end!r}) "
+                            "has a frame that is not an integer")
+        if not 0 <= start < end:
+            raise DataError(f"constraint schedule {path}: region [{start}, {end}) "
+                            "is empty or starts before frame 0")
+    regions.sort(key=lambda region: region[0])
+    for (_, end, _), (start, next_end, _) in zip(regions, regions[1:]):
+        if start < end:
+            raise DataError(f"constraint schedule {path}: regions [{start}, {next_end}) "
+                            f"and one ending at frame {end} overlap")
+    _, end_of_schedule, last = regions[-1]  # disjoint: the last to start ends last
 
     def lookup(segment: media.Segment) -> ConstraintSet:
         for start, end, cs in regions:

@@ -13,14 +13,14 @@ and what a bound means from ``_BOUND_SPECS`` (objective, side, tolerance).
 
 A solve checks up to a dozen QPs against one constraint set, and the loop
 solves every (GOP, filter) group under the same set each segment, so what a
-set means is worked out once, by ``_plan``: each bound's prediction key,
-side and band edge ``bound * (1 +/- tol)`` in bound order, the inversion
-order (dominant bound first), and the mode's objective key, direction and
-rounding.  The last few sets' plans are kept, looked up by the set's
-identity.  No ``ConstraintSet`` field carries its plan, since a set's
-fields are exactly its mode, bounds and tolerances: schedules and policies
-write them, and a set's ``dataclasses.asdict`` is compared with the policy
-it came from.  The checks make the same float operations in the same order
+set means is worked out once per set, on first use, and kept on the set as
+``ConstraintSet._plan``: each bound's prediction key, side and band edge
+``bound * (1 +/- tol)`` in bound order, the inversion order (dominant bound
+first), and the mode's objective key and direction.  The plan is not a
+field: a set's fields are exactly its mode, bounds and tolerances, which
+schedules and policies write, a set's ``dataclasses.asdict`` is compared
+with the policy it came from, and equality, hashing and ``replace`` read the
+fields alone.  The checks make the same float operations in the same order
 as working the set out on every call would, so every decision is the same
 bit for bit.
 
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from numbers import Real
 from typing import Mapping
 
@@ -81,7 +82,7 @@ class TargetUnreachableError(SolverError):
         self.boundary_qp = boundary_qp
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)  # no slots: the cached plan lives in the instance __dict__
 class ConstraintSet:
     """A DRASTIC mode plus bounds and soft-violation tolerances."""
 
@@ -99,8 +100,9 @@ class ConstraintSet:
         get_mode(self.mode)
         if self.quality_metric not in ("psnr", "vmaf", "ssim"):
             raise SolverError(f"unknown quality metric {self.quality_metric!r}")
-        if not all(0.0 <= tol <= 0.5 for tol in self.tolerances().values()):
-            raise SolverError("tolerances must be within [0, 0.5]")
+        for name, tol in self.tolerances().items():  # bool is an int, but no tolerance
+            if isinstance(tol, bool) or not isinstance(tol, Real) or not 0.0 <= tol <= 0.5:
+                raise SolverError(f"{name}={tol!r} is not within [0, 0.5]")
         if not self.bounds():
             raise SolverError("at least one bound must be set")
         for name, value in self.bounds().items():  # bool is an int, but no bound
@@ -123,12 +125,24 @@ class ConstraintSet:
     def without_tolerances(self) -> "ConstraintSet":
         return replace(self, **dict.fromkeys(self.tolerances(), 0.0))
 
-    def objective_for(self, bound_name: str) -> str:
-        obj = _BOUND_SPECS[bound_name][0]
-        return self.quality_metric if obj == "quality" else obj
-
-    def tolerance_for(self, bound_name: str) -> float:
-        return getattr(self, _BOUND_SPECS[bound_name][2])
+    @cached_property
+    def _plan(self) -> _Plan:
+        """What the set means to a solve, worked out on first use."""
+        mode = MODES[self.mode]
+        checks = []
+        for name, bound in self.bounds().items():
+            objective, kind, tol_name = _BOUND_SPECS[name]
+            upper = kind == "upper"
+            tol = getattr(self, tol_name)
+            edge = bound * (1.0 + tol) if upper else bound * (1.0 - tol)
+            checks.append((name, self.quality_metric if objective == "quality" else objective,
+                           upper, bound, edge))
+        return _Plan(
+            checks=tuple(checks),
+            inversions=tuple(sorted(checks, key=lambda check: check[0] != mode.dominant)),
+            objective=self.quality_metric if mode.objective == "quality" else mode.objective,
+            maximize=mode.maximize,
+        )
 
 
 def get_mode(name: str) -> Mode:
@@ -160,66 +174,12 @@ def make_mode(mode_name: str, bounds: Mapping[str, float], **tolerances: float) 
 
 @dataclass(frozen=True, slots=True)
 class _Plan:
-    """A constraint set as a solve reads it: built by ``_make_plan``, kept by ``_plan``."""
+    """A constraint set as a solve reads it: ``ConstraintSet._plan``."""
 
     checks: tuple[tuple[str, str, bool, float, float], ...]  # (name, key, upper, bound, edge)
     inversions: tuple[tuple[str, str, bool, float, float], ...]  # the checks, dominant first
     objective: str  # the mode objective's prediction key
     maximize: bool
-    round_up: bool
-
-
-_PLANS: dict[int, tuple[ConstraintSet, _Plan]] = {}  # id -> (the set, kept alive, its plan)
-_PLANS_KEPT = 64
-
-
-def _plan(constraints: ConstraintSet) -> _Plan:
-    """What ``constraints`` means to a solve, worked out once per set.
-
-    Sets are looked up by identity, which costs less than hashing their
-    fields: the loop hands every solve of a segment the same set.
-    """
-    kept = _PLANS.get(id(constraints))
-    if kept is not None and kept[0] is constraints:
-        return kept[1]
-    if len(_PLANS) >= _PLANS_KEPT:
-        _PLANS.clear()
-    plan = _make_plan(constraints)
-    _PLANS[id(constraints)] = (constraints, plan)
-    return plan
-
-
-def _make_plan(constraints: ConstraintSet) -> _Plan:
-    mode = MODES[constraints.mode]
-    checks = []
-    for name, bound in constraints.bounds().items():
-        upper = _BOUND_SPECS[name][1] == "upper"
-        tol = constraints.tolerance_for(name)
-        edge = bound * (1.0 + tol) if upper else bound * (1.0 - tol)
-        checks.append((name, constraints.objective_for(name), upper, bound, edge))
-    objective = constraints.quality_metric if mode.objective == "quality" else mode.objective
-    return _Plan(
-        checks=tuple(checks),
-        inversions=tuple(sorted(checks, key=lambda check: check[0] != mode.dominant)),
-        objective=objective,
-        maximize=mode.maximize,
-        round_up=mode.round_up,
-    )
-
-
-def _check(plan: _Plan, predicted: Mapping[str, float]) -> tuple[bool, dict[str, float]]:
-    violations: dict[str, float] = {}
-    for name, key, upper, bound, edge in plan.checks:
-        try:
-            value = predicted[key]
-        except KeyError:
-            raise SolverError(f"missing prediction for bounded objective {key!r}") from None
-        if upper:
-            if value > edge:
-                violations[name] = value / bound - 1.0
-        elif value < edge:
-            violations[name] = 1.0 - value / bound
-    return (not violations), violations
 
 
 def check_constraints(
@@ -231,7 +191,18 @@ def check_constraints(
     bounds, 1 - value/bound for lower bounds) and is reported only for
     bounds that fall outside their tolerance band.
     """
-    return _check(_plan(constraints), predicted)
+    violations: dict[str, float] = {}
+    for name, key, upper, bound, edge in constraints._plan.checks:
+        try:
+            value = predicted[key]
+        except KeyError:
+            raise SolverError(f"missing prediction for bounded objective {key!r}") from None
+        if upper:
+            if value > edge:
+                violations[name] = value / bound - 1.0
+        elif value < edge:
+            violations[name] = 1.0 - value / bound
+    return (not violations), violations
 
 
 def newton_solve(
@@ -294,13 +265,6 @@ def newton_solve(
     )
 
 
-def _round(qp_real: float, round_up: bool) -> int:
-    nearest = round(qp_real)
-    if abs(qp_real - nearest) < 1e-9:
-        return int(nearest)
-    return int(math.ceil(qp_real) if round_up else math.floor(qp_real))
-
-
 def round_qp(qp_real: float, mode: str) -> int:
     """Mode-aware integer rounding of a solved QP.
 
@@ -309,7 +273,10 @@ def round_qp(qp_real: float, mode: str) -> int:
     fall with QP); rate/time modes round toward faster encodes (up, since
     encoding rate rises with QP).  Exact integers pass through unchanged.
     """
-    return _round(qp_real, get_mode(mode).round_up)
+    nearest = round(qp_real)
+    if abs(qp_real - nearest) < 1e-9:
+        return int(nearest)
+    return int(math.ceil(qp_real) if get_mode(mode).round_up else math.floor(qp_real))
 
 
 @dataclass(frozen=True, slots=True)
@@ -321,16 +288,6 @@ class QpSolution:
     violations: dict[str, float]
 
 
-def _evaluate(
-    plan: _Plan, qp: int, models: Mapping[str, RdModel], segment_frames: int | None
-) -> tuple[dict[str, float], bool, dict[str, float]]:
-    pred = {name: predict(model, qp) for name, model in models.items()}
-    if segment_frames is not None and "enc_rate" in pred:
-        pred["enc_time"] = segment_frames / pred["enc_rate"]
-    satisfied, violations = _check(plan, pred)
-    return pred, satisfied, violations
-
-
 def evaluate(
     qp: int,
     models: Mapping[str, RdModel],
@@ -339,18 +296,11 @@ def evaluate(
 ) -> tuple[dict[str, float], bool, dict[str, float]]:
     """The models' predictions at ``qp``, encoding time too when
     ``segment_frames`` is given, and their constraint check."""
-    return _evaluate(_plan(constraints), qp, models, segment_frames)
-
-
-def _rank(
-    plan: _Plan, pred: Mapping[str, float], satisfied: bool, violations: Mapping[str, float]
-) -> tuple[bool, float, float]:
-    if satisfied:
-        value = pred[plan.objective]
-        primary = -value if plan.maximize else value
-    else:
-        primary = sum(violations.values())
-    return (not satisfied, primary, pred.get("bits", 0.0))
+    pred = {name: predict(model, qp) for name, model in models.items()}
+    if segment_frames is not None and "enc_rate" in pred:
+        pred["enc_time"] = segment_frames / pred["enc_rate"]
+    satisfied, violations = check_constraints(pred, constraints)
+    return pred, satisfied, violations
 
 
 def candidate_rank(
@@ -361,7 +311,13 @@ def candidate_rank(
 ) -> tuple[bool, float, float]:
     """Sort key of a candidate: feasible first, then the mode objective
     (infeasible: total overshoot), then lower predicted bitrate."""
-    return _rank(_plan(constraints), pred, satisfied, violations)
+    if satisfied:
+        plan = constraints._plan
+        value = pred[plan.objective]
+        primary = -value if plan.maximize else value
+    else:
+        primary = sum(violations.values())
+    return (not satisfied, primary, pred.get("bits", 0.0))
 
 
 def local_search(
@@ -377,18 +333,16 @@ def local_search(
 
     Constraint-satisfying candidates compete on the mode objective (ties:
     lower bitrate, then lower QP); when none satisfies, the least-violation
-    candidate is returned flagged unsatisfied.  The constraint set is worked
-    out once for the whole window, and only the winner becomes a
+    candidate is returned flagged unsatisfied.  Only the winner becomes a
     ``QpSolution``, whose ``qp_real`` is ``qp_real`` (the solve the window
     is centred on) or else the center itself.
     """
-    plan = _plan(constraints)
     lo = max(center_qp - LOCAL_SEARCH_RADIUS, qp_bounds[0])
     hi = min(center_qp + LOCAL_SEARCH_RADIUS, qp_bounds[1])
     best: tuple | None = None
     for qp in range(lo, hi + 1):
-        pred, satisfied, violations = _evaluate(plan, qp, models, segment_frames)
-        rank = (*_rank(plan, pred, satisfied, violations), qp)
+        pred, satisfied, violations = evaluate(qp, models, constraints, segment_frames)
+        rank = (*candidate_rank(pred, satisfied, violations, constraints), qp)
         if best is None or rank < best[0]:
             best = (rank, pred, satisfied, violations)
     assert best is not None
@@ -417,9 +371,8 @@ def solve_constrained(
     objective wins; if none is feasible a +/-4 local search around the
     dominant candidate decides.
     """
-    plan = _plan(constraints)
     qp_reals: list[float] = []
-    for name, objective, upper, bound, _ in plan.inversions:
+    for name, objective, upper, bound, _ in constraints._plan.inversions:
         if name == "max_time_s":
             if segment_frames is None:
                 raise SolverError("max_time_s bound needs the segment frame count")
@@ -440,7 +393,7 @@ def solve_constrained(
 
     candidates: list[int] = []
     for qr in qp_reals:
-        qi = min(max(_round(qr, plan.round_up), qp_bounds[0]), qp_bounds[1])
+        qi = min(max(round_qp(qr, constraints.mode), qp_bounds[0]), qp_bounds[1])
         if qi not in candidates:
             candidates.append(qi)
 
@@ -448,7 +401,7 @@ def solve_constrained(
     for qi in candidates:
         pred, satisfied, violations = evaluate(qi, models, constraints, segment_frames)
         if satisfied:
-            key = (*_rank(plan, pred, True, violations), qi)
+            key = (*candidate_rank(pred, True, violations, constraints), qi)
             if best is None or key < best[0]:
                 best = (key, pred, violations)
     if best is not None:

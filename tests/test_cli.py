@@ -338,6 +338,18 @@ class TestProjectConfigTolerances:
         err = capsys.readouterr().err
         assert str(tmp_path / "project.json") in err and "tol_speed" in err
 
+    @pytest.mark.parametrize("tol", [False, True, "0.1", None, float("nan")],
+                             ids=["false", "true", "string", "null", "nan"])
+    def test_tolerance_not_a_real_is_data_error_naming_the_file(
+        self, tmp_path, monkeypatch, capsys, tol
+    ):
+        # false was read as a zero band
+        code, seen = self.run_optimize(tmp_path, monkeypatch, {"tol_bitrate": tol})
+        assert code == 2
+        assert not seen
+        err = capsys.readouterr().err
+        assert str(tmp_path / "project.json") in err and "tol_bitrate" in err
+
 
 class TestProjectConfigWorkers:
     """The config's ``threads`` (once ``workers``): threads inside one encoder."""
@@ -462,6 +474,23 @@ class TestScheduleGaps:
         schedule = self.write_schedule(tmp_path, (0, 100, 9000), (100, 200, 3000))
         assert self.optimize(schedule, 300) == 0
         assert applied == {0: 9000, 50: 9000, 100: 3000, 150: 3000, 200: 3000, 250: 3000}
+
+    @pytest.mark.parametrize("regions, message", [
+        (((0, 99.9, 9000),), "not an integer"),  # was truncated to 99
+        (((True, 100, 9000),), "not an integer"),  # was read as frame 1
+        (((0, 100, 9000), (150, 120, 3000)), "empty"),  # was kept
+        (((-50, 100, 9000),), "empty"),
+        (((0, 200, 9000), (100, 300, 3000)), "overlap"),  # the first listed won
+        (((100, 300, 3000), (0, 200, 9000)), "overlap"),
+    ], ids=["float-frame", "bool-frame", "empty-region", "negative-start",
+            "overlap", "overlap-listed-later"])
+    def test_malformed_region_is_data_error_naming_the_file(
+        self, tmp_path, capsys, regions, message
+    ):
+        schedule = self.write_schedule(tmp_path, *regions)
+        assert self.optimize(schedule, 300) == 2
+        err = capsys.readouterr().err
+        assert str(schedule) in err and message in err
 
     def test_segment_past_every_region_takes_the_one_ending_last(self, tmp_path):
         schedule = self.write_schedule(tmp_path, (100, 200, 5000), (0, 100, 1000))

@@ -1,6 +1,6 @@
 """Every name a ``segenc`` module imports is used in that module, no module
-imports scipy, and every function, method and dataclass field it defines is
-read somewhere.
+imports scipy, and every function, method, class, dataclass field and
+module-level name it defines is read somewhere.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library.  ``__init__.py`` is skipped by the import check:
@@ -64,12 +64,22 @@ def test_late_scipy_import_is_caught():
 
 
 def defined_names(source: str) -> dict[str, int]:
-    """Functions, methods and class-level annotated fields, with their lines; no dunders."""
+    """Functions, methods, classes, class-level annotated fields and names
+    assigned at module level, with their lines; no dunders."""
+    tree = ast.parse(source)
     defined: dict[str, int] = {}
-    for node in ast.walk(ast.parse(source)):
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:  # a name, or names unpacked; not MODES["x"] = ...
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        defined[name.id] = node.lineno
+    for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defined[node.name] = node.lineno
         elif isinstance(node, ast.ClassDef):
+            defined[node.name] = node.lineno
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                     defined[item.target.id] = item.lineno
@@ -98,6 +108,15 @@ def test_unread_definition_is_caught():
               "print(A(1, 2, 3).used(), 'named')\n")
     reads = loaded_names(source, strings=True)
     assert [name for name in defined_names(source) if name not in reads] == ["dropped", "unused"]
+
+
+def test_unread_module_name_or_class_is_caught():
+    source = ("KEPT = 1\nDROPPED: int = 2\nA, B = 3, 4\nTABLE = {}\nTABLE['x'] = KEPT\n"
+              "__version__ = '1'\nclass Used: pass\nclass Unused: pass\n"
+              "print(A, TABLE, Used)\n")
+    reads = loaded_names(source, strings=True)
+    assert [name for name in defined_names(source) if name not in reads] == [
+        "DROPPED", "B", "Unused"]
 
 
 def test_every_definition_is_read():

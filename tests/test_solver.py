@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -250,6 +251,42 @@ class TestMakeMode:
     def test_tolerance_range_enforced(self):
         with pytest.raises(SolverError):
             ConstraintSet(mode="max_quality", max_bitrate_kbps=1.0, tol_bitrate=0.9)
+        # bool is an int, but no tolerance band; nor is anything not a finite real
+        for tol in (False, True, float("nan"), float("inf"), -0.1, "0.1", None):
+            with pytest.raises(SolverError, match="tol_quality="):
+                ConstraintSet(mode="max_quality", max_bitrate_kbps=1.0, tol_quality=tol)
+
+
+class TestPlanOnTheSet:
+    """A set works out its plan on first use and keeps it beside, not among, its fields."""
+
+    def models(self):
+        return {o: fitted(o) for o in ("psnr", "vmaf", "bits", "enc_rate")}
+
+    def test_solve_leaves_the_fields_alone(self):
+        cs = make_mode("max_quality", {"max_bitrate_kbps": 9000.0, "min_fps": 25.0})
+        fields = dataclasses.asdict(cs)
+        solve_constrained(self.models(), cs, qp_bounds=(16, 45))
+        assert dataclasses.asdict(cs) == fields
+        assert list(fields) == [f.name for f in dataclasses.fields(ConstraintSet)]
+        assert cs == dataclasses.replace(cs) and hash(cs) == hash(dataclasses.replace(cs))
+
+    def test_copy_without_tolerances_has_its_own_plan(self):
+        cs = ConstraintSet(mode="max_quality", max_bitrate_kbps=1000.0, tol_bitrate=0.10)
+        over = {"bits": 1050.0}  # 5% past the bound
+        assert check_constraints(over, cs) == (True, {})  # cs's plan is built first
+        strict = cs.without_tolerances()
+        satisfied, violations = check_constraints(over, strict)
+        assert not satisfied and violations["max_bitrate_kbps"] == pytest.approx(0.05)
+        assert check_constraints(over, cs) == (True, {})
+
+    def test_equal_sets_solve_alike(self):
+        bounds = {"min_quality": 38.0, "min_fps": 25.0}
+        first, second = make_mode("min_bitrate", bounds), make_mode("min_bitrate", dict(bounds))
+        assert first == second and first is not second
+        models = self.models()
+        assert solve_constrained(models, first, qp_bounds=(16, 45)) == \
+            solve_constrained(models, second, qp_bounds=(16, 45))
 
 
 class TestLocalSearch:
